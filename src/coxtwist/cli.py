@@ -13,9 +13,8 @@ spherical twists acting on complexes of graded projectives; answers are
 statements about that twist group.
 
 Structured outputs are JSON with a fixed key order and floats rounded
-to 15 significant digits.  Long computations report progress on stderr
-only, keeping stdout parseable.  The environment variable
-COXTWIST_MAX_ITER overrides the step budget of the geometry commands.
+to 15 significant digits.  The environment variable COXTWIST_MAX_ITER
+overrides the step budget of the geometry commands.
 """
 
 from __future__ import annotations
@@ -205,6 +204,8 @@ def _vertex_name(A: ZigzagAlgebra, v: int) -> str:
 _DEG_LINE = re.compile(r"^deg (-?\d+): (.*)$")
 _SUMMAND = re.compile(r"^P\[(.+)\]<(-?\d+)>$")
 _DIFF_LINE = re.compile(r"^d\[(-?\d+)\]\[(\d+)->(\d+)\] = (.*)$")
+# a coefficient prefix "c*"; labels such as (s,Pi0*Pi0) contain "*" too
+_RATIONAL = re.compile(r"-?\d+(/\d+)?")
 
 
 def read_act_output(text: str) -> dict:
@@ -234,8 +235,8 @@ def read_act_output(text: str) -> dict:
             raise ValueError(f"unrecognized line {line!r}")
         entry = []
         for part in m.group(4).split(" + "):
-            if "*" in part:
-                co, lab = part.split("*", 1)
+            co, star, lab = part.partition("*")
+            if star and _RATIONAL.fullmatch(co):
                 entry.append((Fraction(co), lab))
             elif part.startswith("-"):
                 entry.append((Fraction(-1), part[1:]))
@@ -635,3 +636,7 @@ def main() -> None:
     result = run(sys.argv[1:])
     sys.stdout.write(result.stdout)
     raise SystemExit(result.exit_code)
+
+
+if __name__ == "__main__":
+    main()

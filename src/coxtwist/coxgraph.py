@@ -32,6 +32,12 @@ class GraphError(ValueError):
     """Raised for malformed graph documents."""
 
 
+class InvariantError(ArithmeticError):
+    """Raised when a computed object breaks an invariant it must satisfy,
+    such as d . d = 0 or a chamber postcondition; unlike an assert, the
+    check survives python -O."""
+
+
 @dataclass(frozen=True)
 class CoxeterGraph:
     """Vertices in document order plus labelled edges (i, j, m) with i < j."""

@@ -11,7 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .coxgraph import INF, CoxeterGraph, gram_matrix, is_finite_type
+from .coxgraph import INF, CoxeterGraph, InvariantError, gram_matrix, is_finite_type
 from .fusion import FusionRing
 from .lattice import LatticeVector, enumerate_positive_roots, root_layers
 
@@ -302,12 +302,10 @@ def locate_chamber(
         if current[i].real >= -tol:
             raise ValueError("charge vanishes on a root; not in the regular set")
     for c in current:
-        assert c.imag > tol or (abs(c.imag) <= tol and c.real < -tol), (
-            "located charge escaped the fundamental chamber"
-        )
+        if not (c.imag > tol or (abs(c.imag) <= tol and c.real < -tol)):
+            raise InvariantError("located charge escaped the fundamental chamber")
     if samples:
         phi = phase_of_imaginary_cone(CentralCharge(tuple(current), z.full), samples)
-        assert abs(phi - math.pi / 2) < _ANGULAR_TOL, (
-            "located charge lost its normalization"
-        )
+        if not abs(phi - math.pi / 2) < _ANGULAR_TOL:
+            raise InvariantError("located charge lost its normalization")
     return report("located")

@@ -3,11 +3,16 @@
 A complex keeps, per cohomological degree, an ordered tuple of summands
 (v, k) standing for P_v<k>, together with differential matrices whose
 entries are path combinations acting by right multiplication.  All
-coefficients are Fractions and d . d = 0 is asserted after every
-construction step.  A complex is minimal when no entry contains an
-idempotent; gaussian_eliminate reaches that form.  Construction sorts
-the summands of each degree by (vertex, shift), so two equal minimal
-complexes compare equal as plain values.
+coefficients are Fractions.  make_complex validates every complex it
+builds, before and after elimination: each entry must be a homogeneous
+path combination between the summands it connects, and d . d = 0 is
+checked by a sparse pass over the nonzero entries only.  A failed check
+raises InvariantError, which python -O does not strip.  A complex is
+minimal when no entry contains an idempotent; gaussian_eliminate
+reaches that form.  Construction sorts the summands of each degree by
+(vertex, shift), so two equal minimal complexes compare equal as plain
+values.  A twist whose cone is empty, because no summand has a path
+from the twisting vertex, returns its input without rebuilding it.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .coxgraph import InvariantError
 from .unfolding import UnfoldedGraph, fiber
 from .zigzag import (
     ONE,
@@ -61,26 +67,41 @@ def _check_complex(A: ZigzagAlgebra, c: Complex) -> None:
     # entries are homogeneous paths between the summands they connect
     for i, mat in c.diffs.items():
         rows, cols = c.terms[i], c.terms[i + 1]
-        assert len(mat) == len(rows)
-        for r, row in enumerate(mat):
-            assert len(row) == len(cols)
-            u, k = rows[r]
-            for cc, entry in enumerate(row):
-                v, k2 = cols[cc]
+        if len(mat) != len(rows) or any(len(row) != len(cols) for row in mat):
+            raise InvariantError(f"differential at degree {i} has the wrong shape")
+        for (u, k), row in zip(rows, mat):
+            for (v, k2), entry in zip(cols, row):
                 for b, co in entry:
-                    assert co != 0
-                    assert A.source(b) == u and A.target(b) == v
-                    assert A.degree(b) == k - k2
+                    if not (
+                        co
+                        and A.source(b) == u
+                        and A.target(b) == v
+                        and A.degree(b) == k - k2
+                    ):
+                        raise InvariantError(
+                            f"entry at degree {i} is not a degree-{k - k2} "
+                            f"path combination from vertex {u} to {v}"
+                        )
+    # d.d = 0, accumulated per (row, column, basis path) over nonzero entries
+    mult = A.mult
     for i, mat in c.diffs.items():
         nxt = c.diffs.get(i + 1)
         if nxt is None:
             continue
-        for r in range(len(c.terms[i])):
-            for cc in range(len(c.terms[i + 2])):
-                acc: Combo = ()
-                for m in range(len(c.terms[i + 1])):
-                    acc = _add_combo(acc, multiply_combo(A, mat[r][m], nxt[m][cc]))
-                assert acc == (), f"d.d != 0 at degree {i}"
+        nonzero = [[(cc, y) for cc, y in enumerate(row) if y] for row in nxt]
+        for row in mat:
+            acc: dict[tuple[int, int], Fraction] = {}
+            for m, x in enumerate(row):
+                if not x:
+                    continue
+                for cc, y in nonzero[m]:
+                    for bi, ci in x:
+                        for bj, cj in y:
+                            for bk, ck in mult.get((bi, bj), ()):
+                                key = (cc, bk)
+                                acc[key] = acc.get(key, 0) + ci * cj * ck
+            if any(acc.values()):
+                raise InvariantError(f"d.d != 0 at degree {i}")
 
 
 def make_complex(A: ZigzagAlgebra, terms, diffs) -> Complex:
@@ -104,10 +125,17 @@ def make_complex(A: ZigzagAlgebra, terms, diffs) -> Complex:
             continue
         raw = diffs.get(i, ())
         if raw:
-            assert len(raw) == len(kept[i])
-            assert all(len(row) == len(kept[i + 1]) for row in raw)
+            if len(raw) != len(kept[i]) or any(
+                len(row) != len(kept[i + 1]) for row in raw
+            ):
+                raise InvariantError(
+                    f"differential at degree {i} does not match its summands"
+                )
             mat = tuple(
-                tuple(_normalize_entry(raw[r][cc]) for cc in order[i + 1])
+                tuple(
+                    _normalize_entry(raw[r][cc]) if raw[r][cc] else ()
+                    for cc in order[i + 1]
+                )
                 for r in order[i]
             )
         else:
@@ -116,7 +144,10 @@ def make_complex(A: ZigzagAlgebra, terms, diffs) -> Complex:
     for i, raw in diffs.items():
         if i not in out_diffs:
             # a matrix between dropped or missing degrees must be zero
-            assert all(not entry for row in raw for entry in row)
+            if any(entry for row in raw for entry in row):
+                raise InvariantError(
+                    f"nonzero differential at degree {i} has no summands to connect"
+                )
     c = Complex(out_terms, out_diffs)
     _check_complex(A, c)
     return c
@@ -188,19 +219,27 @@ def gaussian_eliminate(A: ZigzagAlgebra, c: Complex, rng=None) -> Complex:
     return make_complex(A, terms, diffs)
 
 
-def _paths_from(A: ZigzagAlgebra, v: int) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for b in range(A.dim):
-        if A.source(b) == v:
-            out.setdefault(A.target(b), []).append(b)
-    return out
+def _unchanged(A: ZigzagAlgebra, c: Complex, eliminate: bool) -> Complex:
+    """The twist of c when its cone is empty: c itself, reduced to
+    minimal form first if asked to and not already minimal."""
+    if eliminate and any(
+        A.basis[b][0] == "e"
+        for mat in c.diffs.values()
+        for row in mat
+        for entry in row
+        for b, _ in entry
+    ):
+        return gaussian_eliminate(A, c)
+    return c
 
 
 def twist(A: ZigzagAlgebra, v, c: Complex, eliminate: bool = True) -> Complex:
     """Spherical twist at an unfolded vertex: the cone of the counit
     P_v (x) Hom(P_v, c) -> c, with the new summands one degree down."""
     v = _vertex_index(A, v)
-    paths = _paths_from(A, v)
+    paths = A.paths_out[v]
+    if not any(u in paths for summands in c.terms.values() for u, _ in summands):
+        return _unchanged(A, c, eliminate)
     e_v = A._basis_index[("e", v)]
     # cone[i] lists (row r of c.terms[i+1], path p from v to that summand)
     cone: dict[int, list[tuple[int, int]]] = {}
@@ -248,7 +287,9 @@ def dual_twist(A: ZigzagAlgebra, v, c: Complex, eliminate: bool = True) -> Compl
     """Inverse twist: the cone of the unit c -> P_v (x) Hom(P_v, c),
     with the new summands one degree up and an internal shift by -2."""
     v = _vertex_index(A, v)
-    paths = _paths_from(A, v)
+    paths = A.paths_out[v]
+    if not any(u in paths for summands in c.terms.values() for u, _ in summands):
+        return _unchanged(A, c, eliminate)
     e_v = A._basis_index[("e", v)]
     # partner[y] = x over the comultiplication terms x (x) y at v
     partner = {

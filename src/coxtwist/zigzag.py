@@ -56,6 +56,15 @@ class ZigzagAlgebra:
     def degree(self, i: int) -> int:
         return _DEGREE[self.basis[i][0]]
 
+    @cached_property
+    def paths_out(self) -> tuple[dict[int, tuple[int, ...]], ...]:
+        """paths_out[v][t]: the basis paths from v to t, in basis order;
+        targets without such a path are absent."""
+        out: list[dict[int, list[int]]] = [{} for _ in self.quiver.vertices]
+        for b in range(self.dim):
+            out[self.source(b)].setdefault(self.target(b), []).append(b)
+        return tuple({t: tuple(ps) for t, ps in row.items()} for row in out)
+
 
 @dataclass(frozen=True)
 class HomElement:
@@ -96,9 +105,14 @@ def build_zigzag(u: UnfoldedGraph) -> ZigzagAlgebra:
         + arrows
     )
     index = {b: k for k, b in enumerate(basis)}
+    # a product is nonzero only when the second path starts where the
+    # first ends, so pair each path with the paths leaving its target
+    starting: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
+    for j, bj in enumerate(basis):
+        starting[bj[1]].append((j, bj))
     mult: dict[tuple[int, int], Combo] = {}
     for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
+        for j, bj in starting[bi[2] if bi[0] == "arrow" else bi[1]]:
             out = _product(index, bi, bj)
             if out:
                 mult[i, j] = out
@@ -133,8 +147,8 @@ def hom_basis(A: ZigzagAlgebra, src, tgt) -> list[HomElement]:
     d = k - k2
     return [
         HomElement((u, k), (v, k2), ((i, ONE),))
-        for i in range(A.dim)
-        if A.source(i) == u and A.target(i) == v and A.degree(i) == d
+        for i in A.paths_out[u].get(v, ())
+        if A.degree(i) == d
     ]
 
 

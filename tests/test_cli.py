@@ -8,7 +8,9 @@ twice to enforce the byte-identical determinism contract.
 """
 
 import json
-
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,6 +45,22 @@ def twice(argv):
 
 def test_no_command_is_usage_error():
     assert run([]).exit_code == 1
+
+
+def test_module_entry_point_runs_main():
+    import coxtwist
+
+    src = os.path.dirname(os.path.dirname(coxtwist.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxtwist.cli", "--help"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == run(["--help"]).stdout
+    assert "usage" in proc.stdout
 
 
 def test_unknown_command_is_usage_error():
@@ -297,6 +315,33 @@ def test_act_reader_roundtrip(gpath):
     assert parsed["diffs"] == {-1: {(0, 0): [(Fraction(1), "(s|t)")]}}
 
 
+def test_act_reader_roundtrip_labels_with_star(gpath):
+    # unfolded vertex names such as (s,Pi0*Pi0) contain "*" themselves
+    res = run(["act", gpath("chain45"), "s t", "--on", "s,Pi0*Pi0"])
+    assert res.exit_code == 0
+    parsed = read_act_output(res.stdout)
+    assert parsed["terms"] == {
+        -2: [("(t,Pi1*Pi0)", 3)],
+        -1: [("(s,Pi0*Pi0)", 2)],
+    }
+    assert parsed["diffs"] == {
+        -2: {(0, 0): [(Fraction(1), "((t,Pi1*Pi0)|(s,Pi0*Pi0))")]}
+    }
+
+
+def test_act_reader_coefficients():
+    text = "deg 0: P[s]<0>\ndeg 1: P[t]<0>\nd[0][0->0] = -1/2*(s|t) + 3*(a,b*c) + -(x*y)\n"
+    assert read_act_output(text)["diffs"] == {
+        0: {
+            (0, 0): [
+                (Fraction(-1, 2), "(s|t)"),
+                (Fraction(3), "(a,b*c)"),
+                (Fraction(-1), "(x*y)"),
+            ]
+        }
+    }
+
+
 def test_act_identity_word_with_shifts(gpath):
     res = twice(
         ["act", gpath("i2_5"), "", "--on", "s,Pi0", "--shift", "1", "--deg", "-1"]
@@ -360,6 +405,17 @@ def test_chamber_degenerate_charge_exit_2(gpath, tmp_path):
     res = run(["chamber", gpath("rank2_inf"), "--charge", z])
     assert res.exit_code == 2
     assert json.loads(res.stdout)["status"] == "not_in_interior"
+
+
+def test_chamber_lost_normalization_is_exit_2(gpath, tmp_path):
+    # the chamber charge (i, i, 1+i) reflected at u; locating it breaks
+    # the sampled-cone normalization, a postcondition of locate_chamber
+    z = charges_file(
+        tmp_path,
+        {"s": [0.0, 1.0], "t": [1.618033988749895, 2.618033988749895], "u": [-1.0, -1.0]},
+    )
+    res = run(["chamber", gpath("chain45"), "--charge", z])
+    assert res.exit_code == 2
 
 
 def test_chamber_full_uses_unfolded_names(gpath, tmp_path):

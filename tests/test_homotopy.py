@@ -1,11 +1,14 @@
 """Oracles for complexes, Gaussian elimination, and the twist action."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from coxtwist.coxgraph import GraphError, parse_graph
+from coxtwist.coxgraph import GraphError, InvariantError, parse_graph
 from coxtwist.fusion import coxeter_fusion_ring
 from coxtwist.homotopy import (
     Complex,
@@ -338,3 +341,144 @@ def test_complex_equality_requires_matching_differentials():
     )
     assert c0 != c1
     assert isinstance(c0, Complex)
+
+
+# ------------------------------------------ validation and no-op twists
+
+
+def nonzero_square(A):
+    # P_s<2> -> P_t<1> -> P_s<0> by (s|t) then (t|s): the composite is X_s
+    st = A.basis.index(("arrow", 0, 1, 0))
+    ts = A.basis.index(("arrow", 1, 0, 0))
+    return (
+        {0: ((0, 2),), 1: ((1, 1),), 2: ((0, 0),)},
+        {0: ((((st, ONE),),),), 1: ((((ts, ONE),),),)},
+    )
+
+
+def test_check_rejects_nonzero_square():
+    _, _, A = setup("a2")
+    terms, diffs = nonzero_square(A)
+    with pytest.raises(InvariantError, match="d.d"):
+        make_complex(A, terms, diffs)
+    assert issubclass(InvariantError, ArithmeticError)
+
+
+def test_check_does_not_cancel_across_entries():
+    # X_s and -X_s land in different summands, so d.d != 0 even though
+    # the paths would cancel if the check pooled rows or columns
+    _, _, A = setup("a2")
+    st = A.basis.index(("arrow", 0, 1, 0))
+    ts = A.basis.index(("arrow", 1, 0, 0))
+    plus, minus = ((ts, ONE),), ((ts, -ONE),)
+    with pytest.raises(InvariantError, match="d.d"):
+        make_complex(
+            A,
+            {0: ((0, 2),), 1: ((1, 1),), 2: ((0, 0), (0, 0))},
+            {0: ((((st, ONE),),),), 1: ((plus, minus),)},
+        )
+    with pytest.raises(InvariantError, match="d.d"):
+        make_complex(
+            A,
+            {0: ((0, 2), (0, 2)), 1: ((1, 1),), 2: ((0, 0),)},
+            {0: ((((st, ONE),),), (((st, -ONE),),)), 1: ((plus,),)},
+        )
+
+
+def test_check_rejects_inhomogeneous_entry():
+    _, _, A = setup("a2")
+    st = A.basis.index(("arrow", 0, 1, 0))
+    with pytest.raises(InvariantError):
+        make_complex(A, {0: ((0, 0),), 1: ((1, 0),)}, {0: ((((st, ONE),),),)})
+
+
+def test_check_rejects_misshapen_matrix():
+    _, _, A = setup("a2")
+    with pytest.raises(InvariantError):
+        make_complex(A, {0: ((0, 0),), 1: ((1, 0),)}, {0: ((), ())})
+
+
+def test_check_survives_optimized_interpreter():
+    import coxtwist
+
+    src = os.path.dirname(os.path.dirname(coxtwist.__file__))
+    script = (
+        "from fractions import Fraction\n"
+        "from coxtwist import InvariantError, build_zigzag, make_complex, parse_graph, unfold\n"
+        f"A = build_zigzag(unfold(parse_graph({CORPUS_JSON['a2']!r})))\n"
+        "st = A.basis.index(('arrow', 0, 1, 0))\n"
+        "ts = A.basis.index(('arrow', 1, 0, 0))\n"
+        "one = Fraction(1)\n"
+        "try:\n"
+        "    make_complex(A, {0: ((0, 2),), 1: ((1, 1),), 2: ((0, 0),)},\n"
+        "                 {0: ((((st, one),),),), 1: ((((ts, one),),),)})\n"
+        "except InvariantError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_twist_without_path_into_complex_returns_it():
+    _, u, A = setup("chain45")
+    p = projective_complex(A, u.index(("s", "Pi0*Pi0")))
+    far = [v for v in range(len(u.vertices)) if not A.paths_out[v].get(p.terms[0][0][0])]
+    assert far
+    for v in far:
+        assert twist(A, v, p) is p
+        assert dual_twist(A, v, p) is p
+
+
+def test_noop_twist_still_minimizes_when_asked():
+    _, u, A = setup("chain45")
+    x = u.index(("s", "Pi0*Pi0"))
+    e_x = A.basis.index(("e", x))
+    # a contractible pair P_x -> P_x, far from the twisting vertex
+    c = make_complex(A, {0: ((x, 0),), 1: ((x, 0),)}, {0: ((((e_x, ONE),),),)})
+    v = next(v for v in range(len(u.vertices)) if x not in A.paths_out[v])
+    assert twist(A, v, c, eliminate=False) is c
+    assert dual_twist(A, v, c, eliminate=False) is c
+    assert twist(A, v, c) == gaussian_eliminate(A, c) == make_complex(A, {}, {})
+    assert dual_twist(A, v, c) == make_complex(A, {}, {})
+
+
+ROUND_TRIP_GRAPHS = {
+    **CORPUS_JSON,
+    "chain57": graph_json("abc", [("a", "b", 5), ("b", "c", 7)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_GRAPHS))
+def test_twist_round_trip_on_random_words(name):
+    # a twist whose cone is empty returns its input, so undoing it gives
+    # the same complex; otherwise minimal forms may differ by a base
+    # change, so compare the Krull-Schmidt invariants
+    g = parse_graph(ROUND_TRIP_GRAPHS[name])
+    u = unfold(g)
+    A = build_zigzag(u)
+    rng = random.Random(name)
+    seen = {True: 0, False: 0}
+    for _ in range(6):
+        word = tuple(
+            (rng.choice(g.vertices), rng.choice((1, -1)))
+            for _ in range(rng.randint(1, 3))
+        )
+        start = projective_complex(A, rng.randrange(len(u.vertices)))
+        c = apply_braid_word(A, u, word, start)
+        for v in range(len(u.vertices)):
+            noop = not any(x in A.paths_out[v] for ss in c.terms.values() for x, _ in ss)
+            seen[noop] += 1
+            there, back = twist(A, v, c), dual_twist(A, v, c)
+            for out in (dual_twist(A, v, there), twist(A, v, back)):
+                if noop:
+                    assert there is c and back is c and out is c
+                else:
+                    assert summand_multiset(out) == summand_multiset(c)
+                    assert complex_class(A, out) == complex_class(A, c)
+    assert seen[False]
+    if len(u.vertices) > 2:
+        assert seen[True]

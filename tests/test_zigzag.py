@@ -14,6 +14,7 @@ from coxtwist.fusion import FusionElement, coxeter_fusion_ring, edge_object, mul
 from coxtwist.unfolding import unfold
 from coxtwist.zigzag import (
     HomElement,
+    _product,
     build_zigzag,
     compose,
     frobenius_comult,
@@ -373,3 +374,39 @@ def test_path_label_unfolded_notation():
     A = algebra("i2_5")
     assert path_label(A, bidx(A, ("e", 0))) == "e_(s,Pi0)"
     assert path_label(A, bidx(A, ("arrow", 0, 3, 0))) == "((s,Pi0)|(t,Pi2))"
+
+
+# ------------------------------------------------------- sparse indexing
+
+LABEL_CHAIN_JSON = graph_json("abcd", [("a", "b", 5), ("b", "c", 7), ("c", "d", 9)])
+
+
+@pytest.fixture(scope="module")
+def algebras():
+    out = {name: algebra(name) for name in CORPUS_JSON}
+    out["chain579"] = build_zigzag(unfold(parse_graph(LABEL_CHAIN_JSON)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_JSON) + ["chain579"])
+def test_paths_out_matches_basis_scan(algebras, name):
+    A = algebras[name]
+    scan = [{} for _ in A.quiver.vertices]
+    for b in range(A.dim):
+        scan[A.source(b)].setdefault(A.target(b), []).append(b)
+    assert [
+        {t: list(ps) for t, ps in row.items()} for row in A.paths_out
+    ] == scan
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_JSON) + ["chain579"])
+def test_local_product_table_matches_all_pairs(algebras, name):
+    A = algebras[name]
+    index = A._basis_index
+    full = {}
+    for i, bi in enumerate(A.basis):
+        for j, bj in enumerate(A.basis):
+            out = _product(index, bi, bj)
+            if out:
+                full[i, j] = out
+    assert A.mult == full
