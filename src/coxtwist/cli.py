@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -323,9 +324,9 @@ def _cmd_roots(args, out) -> int:
         raise _UsageError("--depth must be at least 1")
     g = _load_graph(args.graph)
     ring = coxeter_fusion_ring(g)
-    layers = root_layers(g, ring, args.depth)
     # one extra layer tells whether the enumeration was exhaustive
     probe = root_layers(g, ring, args.depth + 1)
+    layers = probe[: args.depth]
     roots = sorted(r.coefficients for layer in layers for r in layer)
     print(f"depth: {args.depth}", file=out)
     print(f"count: {len(roots)}", file=out)
@@ -484,6 +485,7 @@ def _cmd_check_relations(args, out) -> int:
 # ----------------------------------------------------------------- driver
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="coxtwist",

@@ -11,6 +11,12 @@ An entry is a sorted tuple of (exponent, FusionElement) pairs with zero
 coefficients dropped, which makes equality literal; the matrix carries
 its ring so specialization needs no extra argument.
 
+A Burau generator sigma_s differs from the identity only in row s, and
+a simple reflection only in the ring.rank rows of its vertex.  Words
+and the root walk therefore update those rows (and, for conjugates,
+those columns) alone; `mat_mul` and `coxeter_word_matrix` stay dense
+as the independent reference.
+
 Positive-root enumeration walks the W-orbit of the simple roots in
 layers (the simple roots are layer 1) and keys results on the
 associated reflection, not on the raw vector: for even edge labels the
@@ -206,24 +212,6 @@ def burau_generator(
     return LaurentFusionMatrix(ring, g.rank, tuple(tuple(r) for r in rows))
 
 
-def _laurent_mul(a: LaurentFusionMatrix, b: LaurentFusionMatrix) -> LaurentFusionMatrix:
-    n = a.size
-    entries = tuple(
-        tuple(
-            _norm_entry(
-                [
-                    term
-                    for k in range(n)
-                    for term in _entry_mul(a.ring, a.entries[i][k], b.entries[k][j])
-                ]
-            )
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return LaurentFusionMatrix(a.ring, n, entries)
-
-
 def _letters(word):
     for letter in word:
         if isinstance(letter, str):
@@ -236,15 +224,33 @@ def _letters(word):
 
 
 def burau_word(g: CoxeterGraph, ring: FusionRing, word) -> LaurentFusionMatrix:
-    """Matrix of the braid word; the first letter of the word acts first."""
-    gens: dict[tuple[str, int], LaurentFusionMatrix] = {}
-    acc = _laurent_identity(g, ring)
+    """Matrix of the braid word; the first letter of the word acts first.
+
+    sigma_s differs from the identity only in row s, so each letter
+    rewrites row s of the product and leaves every other row as it is.
+    """
+    # (letter, sign) -> (row s, the nonzero entries of row s of sigma_s)
+    gens: dict[tuple[str, int], tuple[int, tuple[tuple[int, LaurentEntry], ...]]] = {}
+    rows = list(_laurent_identity(g, ring).entries)
     for name, exp in _letters(word):
         key = (name, exp)
         if key not in gens:
-            gens[key] = burau_generator(g, ring, name, inverse=exp < 0)
-        acc = _laurent_mul(gens[key], acc)
-    return acc
+            gen = burau_generator(g, ring, name, inverse=exp < 0)
+            s = g.index(name)
+            gens[key] = (s, tuple((k, e) for k, e in enumerate(gen.entries[s]) if e))
+        s, row_s = gens[key]
+        rows[s] = tuple(
+            _norm_entry(
+                [
+                    term
+                    for k, e in row_s
+                    if rows[k][j]
+                    for term in _entry_mul(ring, e, rows[k][j])
+                ]
+            )
+            for j in range(g.rank)
+        )
+    return LaurentFusionMatrix(ring, g.rank, tuple(rows))
 
 
 def specialize_q(m: LaurentFusionMatrix, value: int = -1):
@@ -291,6 +297,48 @@ def burau_column(m: LaurentFusionMatrix, x: int):
     return tuple(cols)
 
 
+def _reflection_block(mat, rows: range):
+    """The reflection as 1 + U: the nonzero entries of U, row by row.
+
+    U lives in the rows of the reflected vertex only.
+    """
+    return tuple(
+        (r, tuple((j, x - (r == j)) for j, x in enumerate(mat[r]) if x != (r == j)))
+        for r in rows
+    )
+
+
+def _block_apply(block, vec: tuple[int, ...]) -> tuple[int, ...]:
+    """(1 + U) vec: only the block coordinates change."""
+    out = list(vec)
+    for r, urow in block:
+        out[r] += sum(u * vec[j] for j, u in urow)
+    return tuple(out)
+
+
+def _block_conjugate(block, refl):
+    """(1 + U) refl (1 + U): a row update on the block rows, then a
+    column update from the block columns."""
+    rows = list(refl)
+    for r, urow in block:
+        new = refl[r]
+        for k, u in urow:
+            new = [x + u * y for x, y in zip(new, refl[k])]
+        rows[r] = tuple(new)
+    out = []
+    for row in rows:
+        new = None
+        for k, urow in block:
+            c = row[k]
+            if c:
+                if new is None:
+                    new = list(row)
+                for j, u in urow:
+                    new[j] += c * u
+        out.append(row if new is None else tuple(new))
+    return tuple(out)
+
+
 def root_layers(
     g: CoxeterGraph, ring: FusionRing, depth: int
 ) -> list[set[LatticeVector]]:
@@ -298,13 +346,19 @@ def root_layers(
 
     Layer 1 is the simple roots themselves, so depth bounds the layer
     count.  Vectors leaving the nonnegative orthant are negative-root
-    duplicates and are dropped.
+    duplicates and are dropped.  A simple reflection differs from the
+    identity only in the ring.rank rows of its vertex, so images and
+    conjugates are updated on those rows and columns alone.
     """
     if depth <= 0:
         return []
     mats = [simple_reflection_matrix(g, ring, v) for v in g.vertices]
     nr = ring.rank
     n = g.rank * nr
+    blocks = [
+        _reflection_block(m, range(vi * nr, (vi + 1) * nr))
+        for vi, m in enumerate(mats)
+    ]
     seen_vectors: set[tuple[int, ...]] = set()
     seen_refls: set[tuple[tuple[int, ...], ...]] = set()
     frontier = []
@@ -323,16 +377,14 @@ def root_layers(
         nxt = []
         layer: set[LatticeVector] = set()
         for vec, refl in frontier:
-            for m in mats:
-                image = tuple(
-                    sum(row[j] * vec[j] for j in range(n) if vec[j]) for row in m
-                )
+            for block in blocks:
+                image = _block_apply(block, vec)
                 if image in seen_vectors:
                     continue
                 seen_vectors.add(image)
                 if any(c < 0 for c in image):
                     continue
-                conj = mat_mul(mat_mul(m, refl), m)
+                conj = _block_conjugate(block, refl)
                 if conj in seen_refls:
                     continue
                 seen_refls.add(conj)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coxgraph import INF, CoxeterGraph, GraphError
+from .coxgraph import INF, CoxeterGraph, GraphError, InvariantError
 from .fusion import (
     FusionElement,
     FusionRing,
@@ -98,12 +98,15 @@ def unfold(g: CoxeterGraph) -> UnfoldedGraph:
         ]
         # TLJ products are multiplicity-free and symmetric; both facts
         # are what lets an edge upstairs stand for a coefficient
-        assert all(c in (0, 1) for row in adj for c in row)
-        assert all(
-            adj[f][e] == adj[e][f]
+        edge = f"{g.vertices[i]}-{g.vertices[j]}"
+        if not all(c in (0, 1) for row in adj for c in row):
+            raise InvariantError(f"edge object of {edge} is not multiplicity-free")
+        if any(
+            adj[f][e] != adj[e][f]
             for e in range(ring.rank)
             for f in range(ring.rank)
-        )
+        ):
+            raise InvariantError(f"edge object of {edge} is not symmetric")
         for f in range(ring.rank):
             for e in range(ring.rank):
                 if adj[f][e]:
@@ -152,5 +155,6 @@ def psi_matrix(u: UnfoldedGraph, s: str) -> tuple[tuple[int, ...], ...]:
     for pair in fiber(u, s):
         m = simple_reflection_matrix(g2, ring2, f"{pair[0]},{pair[1]}")
         acc = m if acc is None else mat_mul(m, acc)
-    assert acc is not None
+    if acc is None:
+        raise InvariantError(f"empty fiber over {s!r}")
     return acc

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxtwist import cli
 from coxtwist.cli import read_act_output, run
 from coxtwist.coxgraph import parse_graph
 from coxtwist.fusion import coxeter_fusion_ring
@@ -65,6 +66,28 @@ def test_module_entry_point_runs_main():
 
 def test_unknown_command_is_usage_error():
     assert run(["frobnicate"]).exit_code == 1
+
+
+def test_reused_parser_matches_a_fresh_one(gpath, monkeypatch, capsys):
+    a2 = gpath("a2")
+    argvs = [
+        ["--help"],
+        ["roots", a2, "--depth", "0"],
+        ["act", a2, "s t", "--on", "s", "--shift", "3"],
+        ["act", a2, "s t", "--on", "s"],
+    ]
+    reused = []
+    for argv in argvs:
+        reused.append((run(argv), capsys.readouterr().err))
+    # the last act starts at shift 0: nothing is left over from the call before
+    assert cli._build_parser().parse_args(argvs[-1]).shift == 0
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    for argv, (result, err) in zip(argvs, reused):
+        assert run(argv) == result
+        assert capsys.readouterr().err == err
+    assert reused[0][0].exit_code == 0 and "usage" in reused[0][0].stdout
+    assert reused[1][0].exit_code == 1 and "--depth" in reused[1][1]
+    assert reused[2][0].stdout != reused[3][0].stdout
 
 
 def test_unknown_flag_is_usage_error(gpath):
@@ -243,6 +266,26 @@ def test_roots_infinite_is_labeled_truncated(gpath):
 
 def test_roots_depth_must_be_positive(gpath):
     assert run(["roots", gpath("a2"), "--depth", "0"]).exit_code == 1
+
+
+H4_JSON = graph_json("abcd", [("a", "b", 5), ("b", "c", 3), ("c", "d", 3)])
+
+
+@pytest.mark.parametrize("depth,count,truncated", [(22, 59, "yes"), (23, 60, "no")])
+def test_roots_h4_walks_once(gpath, monkeypatch, depth, count, truncated):
+    calls = []
+    real = cli.root_layers
+
+    def spy(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "root_layers", spy)
+    res = run(["roots", gpath("h4", H4_JSON), "--depth", str(depth)])
+    assert res.exit_code == 0
+    assert f"count: {count}\n" in res.stdout
+    assert f"truncated: {truncated}\n" in res.stdout
+    assert calls == [depth + 1]
 
 
 # ----------------------------------------------------- word-level commands

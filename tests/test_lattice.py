@@ -12,7 +12,8 @@ import random
 import pytest
 
 from coxtwist.coxgraph import GraphError, parse_graph
-from coxtwist.fusion import FusionElement, coxeter_fusion_ring
+from coxtwist import lattice
+from coxtwist.fusion import FusionElement, coxeter_fusion_ring, multiply
 from coxtwist.lattice import (
     LatticeVector,
     bilinear_form_C,
@@ -22,12 +23,14 @@ from coxtwist.lattice import (
     coxeter_word_equal,
     coxeter_word_matrix,
     enumerate_positive_roots,
+    root_layers,
     simple_reflection_matrix,
     simple_root,
     specialize_q,
 )
+from coxtwist.unfolding import unfold
 
-from conftest import CORPUS_JSON
+from conftest import CORPUS_JSON, graph_json
 
 
 def vec(*coeffs):
@@ -371,3 +374,126 @@ def test_orbit_vectors_are_sign_coherent(name):
         frontier = nxt
     for v in seen:
         assert all(c >= 0 for c in v) or all(c <= 0 for c in v)
+
+
+# ------------------------------------------- sparse updates vs dense products
+
+# H3, H4, F4 and the 7-3 chain, beside the corpus and two unfolded graphs
+EXTRA_JSON = {
+    "h3": graph_json("abc", [("a", "b", 5), ("b", "c", 3)]),
+    "h4": graph_json("abcd", [("a", "b", 5), ("b", "c", 3), ("c", "d", 3)]),
+    "f4": graph_json("abcd", [("a", "b", 3), ("b", "c", 4), ("c", "d", 3)]),
+    "c73": graph_json("abc", [("a", "b", 7), ("b", "c", 3)]),
+}
+SPARSE_GRAPHS = sorted(CORPUS_JSON) + sorted(EXTRA_JSON) + [
+    "unfolded_chain45",
+    "unfolded_g2_affine",
+]
+
+
+def sparse_graph(name):
+    if name.startswith("unfolded_"):
+        g = unfold(parse_graph(CORPUS_JSON[name[len("unfolded_"):]])).as_coxeter_graph()
+    else:
+        g = parse_graph({**CORPUS_JSON, **EXTRA_JSON}[name])
+    return g, coxeter_fusion_ring(g)
+
+
+def dense_laurent_mul(ring, a, b):
+    """Full product of two Burau matrices, entry by entry."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = {}
+            for k in range(n):
+                for ea, fa in a[i][k]:
+                    for eb, fb in b[k][j]:
+                        prod = multiply(ring, fa, fb).coefficients
+                        cur = acc.get(ea + eb, (0,) * ring.rank)
+                        acc[ea + eb] = tuple(x + y for x, y in zip(cur, prod))
+            row.append(
+                tuple(
+                    (e, FusionElement(c)) for e, c in sorted(acc.items()) if any(c)
+                )
+            )
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def dense_burau_word(g, ring, word):
+    acc = burau_word(g, ring, ()).entries
+    for name, exp in word:
+        gen = burau_generator(g, ring, name, inverse=exp < 0)
+        acc = dense_laurent_mul(ring, gen.entries, acc)
+    return acc
+
+
+@pytest.mark.parametrize("name", SPARSE_GRAPHS)
+def test_burau_word_matches_dense_product(name):
+    g, ring = sparse_graph(name)
+    rng = random.Random(name)
+    words = [()] + [
+        tuple(
+            (rng.choice(g.vertices), rng.choice((1, -1)))
+            for _ in range(rng.randint(1, 12))
+        )
+        for _ in range(5)
+    ]
+    for w in words:
+        m = burau_word(g, ring, w)
+        assert (m.ring, m.size) == (ring, g.rank)
+        assert m.entries == dense_burau_word(g, ring, w)
+
+
+def dense_root_layers(g, ring, depth):
+    """The orbit walk with full reflection products, as first written."""
+    mats = [simple_reflection_matrix(g, ring, v) for v in g.vertices]
+    nr = ring.rank
+    n = g.rank * nr
+    seen_vectors = set()
+    seen_refls = set()
+    frontier = []
+    first = set()
+    for vi in range(g.rank):
+        v = tuple(1 if k == vi * nr else 0 for k in range(n))
+        seen_vectors.add(v)
+        seen_refls.add(mats[vi])
+        first.add(LatticeVector(v))
+        frontier.append((v, mats[vi]))
+    layers = [first]
+    for _ in range(depth - 1):
+        if not frontier:
+            break
+        frontier.sort(key=lambda node: node[0])
+        nxt = []
+        layer = set()
+        for v, refl in frontier:
+            for m in mats:
+                image = tuple(sum(row[j] * v[j] for j in range(n)) for row in m)
+                if image in seen_vectors:
+                    continue
+                seen_vectors.add(image)
+                if any(c < 0 for c in image):
+                    continue
+                conj = lattice.mat_mul(lattice.mat_mul(m, refl), m)
+                if conj in seen_refls:
+                    continue
+                seen_refls.add(conj)
+                layer.add(LatticeVector(image))
+                nxt.append((image, conj))
+        if layer:
+            layers.append(layer)
+        frontier = nxt
+    return layers
+
+
+@pytest.mark.parametrize("name", SPARSE_GRAPHS)
+def test_root_layers_match_dense_walk(name):
+    g, ring = sparse_graph(name)
+    # a walk's first d layers are the walk at depth d, so one dense walk
+    # at depth 12 is the reference for every depth up to 12
+    dense = dense_root_layers(g, ring, 12)
+    for depth in range(1, 13):
+        assert root_layers(g, ring, depth) == dense[:depth]

@@ -5,12 +5,23 @@ TLJ fusion rows and cross-checked against the component shapes
 (E7-affine plus D6-affine, and the 4-cycle with infinity whiskers).
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from coxtwist.coxgraph import INF, GraphError, is_finite_type, parse_graph
-from coxtwist.fusion import coxeter_fusion_ring
+from coxtwist import unfolding
+from coxtwist.cli import run
+from coxtwist.coxgraph import (
+    INF,
+    GraphError,
+    InvariantError,
+    is_finite_type,
+    parse_graph,
+)
+from coxtwist.fusion import FusionElement, coxeter_fusion_ring, multiply
 from coxtwist.lattice import coxeter_word_matrix, mat_mul, simple_reflection_matrix
 from coxtwist.unfolding import fiber, lcm_translate, psi_matrix, unfold
 
@@ -277,3 +288,38 @@ def test_psi_word_intertwining(name):
 def test_finite_type_preserved_by_unfolding(name):
     g = parse_graph(CORPUS_JSON[name])
     assert is_finite_type(g) == is_finite_type(unfold(g).as_coxeter_graph())
+
+
+def doubled_multiply(ring, a, b):
+    return FusionElement(tuple(2 * c for c in multiply(ring, a, b).coefficients))
+
+
+def test_unfold_rejects_an_edge_object_with_multiplicity(monkeypatch, tmp_path):
+    monkeypatch.setattr(unfolding, "multiply", doubled_multiply)
+    with pytest.raises(InvariantError):
+        unfold(parse_graph(CORPUS_JSON["a2"]))
+    path = tmp_path / "a2.json"
+    path.write_text(CORPUS_JSON["a2"])
+    assert run(["unfold", str(path)]).exit_code == 2
+
+
+def test_unfold_check_survives_optimized_interpreter():
+    import coxtwist
+
+    src = os.path.dirname(os.path.dirname(coxtwist.__file__))
+    script = (
+        "from coxtwist import InvariantError, parse_graph, unfolding\n"
+        "from coxtwist.fusion import FusionElement, multiply\n"
+        "unfolding.multiply = lambda r, a, b: FusionElement(\n"
+        "    tuple(2 * c for c in multiply(r, a, b).coefficients))\n"
+        "try:\n"
+        f"    unfolding.unfold(parse_graph({CORPUS_JSON['a2']!r}))\n"
+        "except InvariantError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
