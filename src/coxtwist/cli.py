@@ -42,7 +42,7 @@ from .homotopy import (
 )
 from .lattice import burau_word, coxeter_word_equal, root_layers, specialize_q
 from .unfolding import UnfoldedGraph, unfold
-from .zigzag import ZigzagAlgebra, build_zigzag, multiply_basis, path_label
+from .zigzag import ZigzagAlgebra, build_zigzag, path_label
 
 _TWIST_NOTE = (
     "Equality is decided in the group generated by the spherical twists "
@@ -125,6 +125,17 @@ def _load_charges(path: str, g: CoxeterGraph) -> tuple[complex, ...]:
             raise _UsageError(f"charge for {v!r} must be a [re, im] pair")
         values.append(complex(pair[0], pair[1]))
     return tuple(values)
+
+
+def _depth(text: str) -> int:
+    """The --depth argument: a layer count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
 
 
 def _env_max_iter():
@@ -287,12 +298,10 @@ def _cmd_zigzag_info(args, out) -> int:
     for k in range(A.dim):
         print(f"[{k}] {path_label(A, k)} (deg {A.degree(k)})", file=out)
     print("products (zeros omitted):", file=out)
-    for i in range(A.dim):
-        for j in range(A.dim):
-            prod = multiply_basis(A, i, j)
-            if prod:
-                lhs = f"{path_label(A, i)} * {path_label(A, j)}"
-                print(f"{lhs} = {_fmt_combo(A, prod)}", file=out)
+    # the table holds exactly the nonzero products
+    for i, j in sorted(A.mult):
+        lhs = f"{path_label(A, i)} * {path_label(A, j)}"
+        print(f"{lhs} = {_fmt_combo(A, A.mult[i, j])}", file=out)
     return 0
 
 
@@ -320,8 +329,6 @@ def _cmd_burau(args, out) -> int:
 
 
 def _cmd_roots(args, out) -> int:
-    if args.depth < 1:
-        raise _UsageError("--depth must be at least 1")
     g = _load_graph(args.graph)
     ring = coxeter_fusion_ring(g)
     # one extra layer tells whether the enumeration was exhaustive
@@ -524,7 +531,7 @@ def _build_parser() -> _Parser:
     )
 
     p = add("roots", _cmd_roots, "enumerate positive roots layer by layer")
-    p.add_argument("--depth", type=int, default=8, help="reflection-layer bound")
+    p.add_argument("--depth", type=_depth, default=8, help="reflection-layer bound")
 
     p = add(
         "coxeter-eq",
@@ -582,7 +589,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--charge", required=True, help="JSON file: vertex -> [re, im]")
     p.add_argument("--full", action="store_true", help="charge lives on the unfolding")
-    p.add_argument("--depth", type=int, default=8, help="root enumeration bound")
+    p.add_argument("--depth", type=_depth, default=8, help="root enumeration bound")
 
     p = add(
         "regular-check",
@@ -591,7 +598,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--charge", required=True, help="JSON file: vertex -> [re, im]")
     p.add_argument("--full", action="store_true", help="charge lives on the unfolding")
-    p.add_argument("--depth", type=int, default=8, help="root enumeration bound")
+    p.add_argument("--depth", type=_depth, default=8, help="root enumeration bound")
 
     p = add(
         "tits-check",
@@ -600,7 +607,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--charge", required=True, help="JSON file: vertex -> [re, 0]")
     p.add_argument("--full", action="store_true", help="charge lives on the unfolding")
-    p.add_argument("--depth", type=int, default=8, help="root enumeration bound")
+    p.add_argument("--depth", type=_depth, default=8, help="root enumeration bound")
 
     add(
         "check-relations",

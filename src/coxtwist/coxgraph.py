@@ -20,11 +20,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 INF = math.inf
 
-# Numeric cross-check tolerance for positive definiteness of the Gram matrix.
+# Numeric cross-check tolerance for positive definiteness of the Gram matrix:
+# every LDL^T pivot must exceed it.
 EIG_TOL = 1e-9
 
 
@@ -179,19 +178,39 @@ def parse_graph(text: str) -> CoxeterGraph:
     return CoxeterGraph(vertices, tuple(edges))
 
 
-def gram_matrix(g: CoxeterGraph) -> np.ndarray:
+def gram_matrix(g: CoxeterGraph) -> tuple[tuple[float, ...], ...]:
     """Symmetric bilinear form: 2 on the diagonal, -2cos(pi/m) off it.
 
     The convention for m = infinity is -2 (the limit of -2cos(pi/m)).
     """
     n = g.rank
-    b = np.zeros((n, n))
-    np.fill_diagonal(b, 2.0)
+    b = [[2.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for i, j, m in g.edges:
         val = -2.0 if m == INF else -2.0 * math.cos(math.pi / m)
         b[i][j] = val
         b[j][i] = val
-    return b
+    return tuple(tuple(row) for row in b)
+
+
+def _smallest_pivot(b) -> float:
+    """Smallest pivot of the LDL^T factorization of a symmetric matrix.
+
+    The matrix is positive definite iff every pivot is positive; the
+    factorization stops at the first pivot at or below EIG_TOL, whose
+    successors would divide by it.
+    """
+    n = len(b)
+    low = [[0.0] * n for _ in range(n)]
+    pivots: list[float] = []
+    for j in range(n):
+        d = b[j][j] - math.fsum(low[j][k] ** 2 * pivots[k] for k in range(j))
+        pivots.append(d)
+        if not d > EIG_TOL:
+            break
+        for i in range(j + 1, n):
+            dot = math.fsum(low[i][k] * low[j][k] * pivots[k] for k in range(j))
+            low[i][j] = (b[i][j] - dot) / d
+    return min(pivots)
 
 
 def _path_order(g: CoxeterGraph, comp: tuple[int, ...]) -> list[int] | None:
@@ -286,14 +305,15 @@ def is_finite_type(g: CoxeterGraph) -> bool:
     """Whether every connected component is a finite Coxeter-Dynkin diagram.
 
     The decision is the exact classification lookup; positive definiteness of
-    the Gram matrix is asserted against it as a consistency check only.
+    the Gram matrix, read from its LDL^T pivots, is checked against it as a
+    consistency check only.
     """
     finite = all(_component_is_finite(g, comp) for comp in g.components())
     if g.rank > 0:
-        smallest = float(min(np.linalg.eigvalsh(gram_matrix(g))))
+        smallest = _smallest_pivot(gram_matrix(g))
         if finite != (smallest > EIG_TOL):
-            raise ArithmeticError(
+            raise InvariantError(
                 "finite-type classification disagrees with the numeric "
-                f"positive-definiteness check (smallest eigenvalue {smallest})"
+                f"positive-definiteness check (smallest LDL^T pivot {smallest})"
             )
     return finite

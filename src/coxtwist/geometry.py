@@ -5,6 +5,12 @@ fusion lattice through the FPdim embedding.  This module samples the
 imaginary cone, tests Tits-cone membership, normalizes charges so the
 image cone points straight up, and locates the chamber of a charge by
 reflection descent.
+
+The roots and the cone samples of `in_regular_set` come from one walk
+of the root orbit.  The default step budget of a descent,
+10 * (roots + rank), is at least 10 * rank, so the walk that sizes it
+runs only once a descent reaches 10 * rank steps; shorter descents never
+walk for it, and the budget's value is the same either way.
 """
 
 import cmath
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 from .coxgraph import INF, CoxeterGraph, InvariantError, gram_matrix, is_finite_type
 from .fusion import FusionRing
-from .lattice import LatticeVector, enumerate_positive_roots, root_layers
+from .lattice import LatticeVector, root_layers
 
 _DEPTH = 8
 _ANGULAR_TOL = 1e-6
@@ -114,8 +120,13 @@ def imaginary_cone_samples(
     exact = _exact_affine_ray(g)
     if exact is not None:
         return [exact]
+    return _samples(ring, root_layers(g, ring, depth), depth)
+
+
+def _samples(ring: FusionRing, layers, depth: int) -> list[tuple[float, ...]]:
+    """The deduplicated unit directions of the deeper half of the layers."""
     out: list[tuple[float, ...]] = []
-    for ell, layer in enumerate(root_layers(g, ring, depth), start=1):
+    for ell, layer in enumerate(layers, start=1):
         if 2 * ell <= depth:
             continue
         for root in sorted(layer, key=lambda r: r.coefficients):
@@ -170,7 +181,30 @@ def normalize_charge(z: CentralCharge, samples):
 
 
 def _default_budget(g: CoxeterGraph, ring: FusionRing, depth: int) -> int:
-    return 10 * (len(enumerate_positive_roots(g, ring, depth)) + g.rank)
+    # the layers are disjoint, so their sizes add up to the root count
+    return 10 * (sum(map(len, root_layers(g, ring, depth))) + g.rank)
+
+
+def _budget(g: CoxeterGraph, ring: FusionRing, depth: int, max_iter):
+    """steps -> whether a descent has spent its step budget.
+
+    An explicit max_iter is the budget.  The default one is sized by a
+    root walk, which runs only once a descent reaches 10 * g.rank steps:
+    no budget is smaller than that.
+    """
+    if max_iter is not None:
+        return lambda steps: steps >= max_iter
+    limit = None
+
+    def spent(steps: int) -> bool:
+        nonlocal limit
+        if steps < 10 * g.rank:
+            return False
+        if limit is None:
+            limit = _default_budget(g, ring, depth)
+        return steps >= limit
+
+    return spent
 
 
 def in_tits_interior(
@@ -182,7 +216,9 @@ def in_tits_interior(
     reaches the closed chamber, where the vanishing set decides (its
     subgraph must be finite type), or the budget runs out and the answer
     is inconclusive.  Only the exact rank-2 kernel ray produces a
-    sampled "no": truncated samples are never treated as proof.
+    sampled "no": truncated samples are never treated as proof.  The
+    default budget walks the roots to depth only if the descent gets
+    long enough to need it.
     """
     if len(x) != g.rank:
         raise ValueError("functional length does not match the graph")
@@ -193,8 +229,7 @@ def in_tits_interior(
     if exact is not None:
         if math.fsum(c * s for c, s in zip(x, exact)) <= tol:
             return "no"
-    if max_iter is None:
-        max_iter = _default_budget(g, ring, depth)
+    spent = _budget(g, ring, depth, max_iter)
     rows = _gram_rows(g)
     current = tuple(float(c) for c in x)
     steps = 0
@@ -205,7 +240,7 @@ def in_tits_interior(
                 g.vertices[i] for i, c in enumerate(current) if abs(c) <= tol
             )
             return "yes" if is_finite_type(g.induced(fixed)) else "no"
-        if steps >= max_iter:
+        if spent(steps):
             return "inconclusive"
         current = _reflect_values(rows, si, current)
         steps += 1
@@ -221,18 +256,23 @@ def in_regular_set(
     """Tri-state check that z misses every root and imaginary-cone wall.
 
     Truncated by depth: "yes" certifies the enumerated walls only, "no"
-    is witnessed by an actual near-zero value.
+    is witnessed by an actual near-zero value.  The roots and the cone
+    samples come from one walk to depth.
     """
     if len(z.values) != g.rank:
         raise ValueError("charge length does not match the graph")
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    layers = root_layers(g, ring, depth)
+    if is_finite_type(g):
+        samples = []
+    else:
+        exact = _exact_affine_ray(g)
+        samples = [exact] if exact is not None else _samples(ring, layers, depth)
     values = [
-        abs(evaluate_charge(g, ring, z, root))
-        for root in enumerate_positive_roots(g, ring, depth)
+        abs(evaluate_charge(g, ring, z, root)) for layer in layers for root in layer
     ]
-    values += [
-        abs(sum(zi * ci for zi, ci in zip(z.values, x)))
-        for x in imaginary_cone_samples(g, ring, depth)
-    ]
+    values += [abs(sum(zi * ci for zi, ci in zip(z.values, x))) for x in samples]
     if any(v < tol / 10 for v in values):
         return "no"
     if all(v > tol for v in values):
@@ -255,13 +295,14 @@ def locate_chamber(
     status "located" every entry lies in the open upper half-plane or on
     the negative real axis, and in infinite type the image cone of the
     result points straight up.  depth bounds the root enumeration behind
-    the cone samples and the default step budget.
+    the cone samples and the default step budget.  Finite types and the
+    rank-2 infinite graph need no walk for the samples, and the budget
+    walks only for a descent long enough to need it.
     """
     if len(z.values) != g.rank:
         raise ValueError("charge length does not match the graph")
     samples = imaginary_cone_samples(g, ring, depth)
-    if max_iter is None:
-        max_iter = _default_budget(g, ring, depth)
+    spent = _budget(g, ring, depth, max_iter)
     try:
         k, zn = normalize_charge(z, samples)
     except ValueError:
@@ -278,7 +319,7 @@ def locate_chamber(
         si = next((i for i, c in enumerate(current) if c.imag < -tol), None)
         if si is None:
             break
-        if steps >= max_iter:
+        if spent(steps):
             return report("max_iterations")
         current[:] = _reflect_values(rows, si, current)
         word.append(g.vertices[si])
@@ -292,7 +333,7 @@ def locate_chamber(
         ti = next((i for i in fixed if current[i].real > tol), None)
         if ti is None:
             break
-        if steps >= max_iter:
+        if spent(steps):
             return report("max_iterations")
         current[:] = _reflect_values(rows, ti, current)
         word.append(g.vertices[ti])

@@ -12,10 +12,12 @@ coefficients dropped, which makes equality literal; the matrix carries
 its ring so specialization needs no extra argument.
 
 A Burau generator sigma_s differs from the identity only in row s, and
-a simple reflection only in the ring.rank rows of its vertex.  Words
-and the root walk therefore update those rows (and, for conjugates,
-those columns) alone; `mat_mul` and `coxeter_word_matrix` stay dense
-as the independent reference.
+a simple reflection only in the ring.rank rows of its vertex.  Words,
+Coxeter words and the root walk therefore update those rows (and, for
+conjugates, those columns) alone; `mat_mul` is the dense product the
+tests compare them against.  `coxeter_word_matrix` is a block-row
+product of integer reflections and shares no code with `burau_word`
+or `specialize_q`, so it stays an independent check of the two.
 
 Positive-root enumeration walks the W-orbit of the simple roots in
 layers (the simple roots are layer 1) and keys results on the
@@ -98,17 +100,12 @@ def bilinear_form_C(
     return out
 
 
-def simple_reflection_matrix(
-    g: CoxeterGraph, ring: FusionRing, s: str
-) -> tuple[tuple[int, ...], ...]:
+def _reflection_matrix(ring: FusionRing, forms, si: int):
     """Matrix of v -> v - B_C(alpha_s, v) alpha_s; columns are images."""
-    si = g.index(s)
     nr = ring.rank
-    n = g.rank * nr
-    forms = _pair_forms(g, ring)
+    n = len(forms) * nr
     mat = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for t in range(g.rank):
-        base = forms[si][t]
+    for t, base in enumerate(forms[si]):
         if not any(base.coefficients):
             continue
         for f in range(nr):
@@ -118,6 +115,23 @@ def simple_reflection_matrix(
             for e, c in enumerate(drop.coefficients):
                 mat[si * nr + e][col] -= c
     return tuple(tuple(row) for row in mat)
+
+
+def simple_reflection_matrices(
+    g: CoxeterGraph, ring: FusionRing
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every simple reflection matrix, in vertex order, from one table of
+    pair forms."""
+    forms = _pair_forms(g, ring)
+    return tuple(_reflection_matrix(ring, forms, si) for si in range(g.rank))
+
+
+def simple_reflection_matrix(
+    g: CoxeterGraph, ring: FusionRing, s: str
+) -> tuple[tuple[int, ...], ...]:
+    """Matrix of v -> v - B_C(alpha_s, v) alpha_s; columns are images."""
+    si = g.index(s)
+    return _reflection_matrix(ring, _pair_forms(g, ring), si)
 
 
 def mat_mul(a, b):
@@ -137,11 +151,22 @@ def mat_apply(m, v: LatticeVector) -> LatticeVector:
 def coxeter_word_matrix(
     g: CoxeterGraph, ring: FusionRing, word
 ) -> tuple[tuple[int, ...], ...]:
-    n = g.rank * ring.rank
-    acc = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
+    """Matrix of a positive word; the first letter acts first.
+
+    Each letter rewrites only the ring.rank rows of its vertex.
+    """
+    nr = ring.rank
+    n = g.rank * nr
+    forms = _pair_forms(g, ring)
+    blocks: dict[str, tuple] = {}
+    rows = [tuple(1 if r == c else 0 for c in range(n)) for r in range(n)]
     for name in word:
-        acc = mat_mul(simple_reflection_matrix(g, ring, name), acc)
-    return acc
+        if name not in blocks:
+            si = g.index(name)
+            mat = _reflection_matrix(ring, forms, si)
+            blocks[name] = _reflection_block(mat, range(si * nr, (si + 1) * nr))
+        rows = _block_rows(blocks[name], rows)
+    return tuple(rows)
 
 
 def coxeter_word_equal(g: CoxeterGraph, w1, w2) -> bool:
@@ -169,18 +194,6 @@ def _norm_entry(pairs) -> LaurentEntry:
     )
 
 
-def _entry_add(a: LaurentEntry, b: LaurentEntry) -> LaurentEntry:
-    return _norm_entry(list(a) + list(b))
-
-
-def _entry_mul(ring: FusionRing, a: LaurentEntry, b: LaurentEntry) -> LaurentEntry:
-    out = []
-    for ea, fa in a:
-        for eb, fb in b:
-            out.append((ea + eb, multiply(ring, fa, fb)))
-    return _norm_entry(out)
-
-
 def _unit_entry(ring: FusionRing, exp: int = 0, scale: int = 1) -> LaurentEntry:
     coeffs = [0] * ring.rank
     coeffs[ring.unit_index] = scale
@@ -195,20 +208,24 @@ def _laurent_identity(g: CoxeterGraph, ring: FusionRing) -> LaurentFusionMatrix:
     return LaurentFusionMatrix(ring, g.rank, entries)
 
 
+def _burau_row(g: CoxeterGraph, ring: FusionRing, s: int, inverse: bool):
+    """The nonzero entries (column, entry) of row s of sigma_s, by column."""
+    qexp = -1 if inverse else 1
+    row = {s: _unit_entry(ring, exp=2 * qexp, scale=-1)}
+    for t in g.neighbors(s):
+        row[t] = _norm_entry([(qexp, -edge_object(g, (s, t)))])
+    return tuple(sorted(row.items()))
+
+
 def burau_generator(
     g: CoxeterGraph, ring: FusionRing, s: str, inverse: bool = False
 ) -> LaurentFusionMatrix:
     """sigma_s: [P_s] -> -q^2 [P_s], [P_t] -> [P_t] - q [Pi(e)][P_s]."""
     si = g.index(s)
-    rows = [[() for _ in range(g.rank)] for _ in range(g.rank)]
-    for t in range(g.rank):
-        if t != si:
-            rows[t][t] = _unit_entry(ring)
-    qexp = -1 if inverse else 1
-    rows[si][si] = _unit_entry(ring, exp=2 * qexp, scale=-1)
-    for t in g.neighbors(si):
-        pi = edge_object(g, (si, t))
-        rows[si][t] = _norm_entry([(qexp, -pi)])
+    rows = [list(r) for r in _laurent_identity(g, ring).entries]
+    rows[si] = [()] * g.rank
+    for t, entry in _burau_row(g, ring, si, inverse):
+        rows[si][t] = entry
     return LaurentFusionMatrix(ring, g.rank, tuple(tuple(r) for r in rows))
 
 
@@ -235,17 +252,16 @@ def burau_word(g: CoxeterGraph, ring: FusionRing, word) -> LaurentFusionMatrix:
     for name, exp in _letters(word):
         key = (name, exp)
         if key not in gens:
-            gen = burau_generator(g, ring, name, inverse=exp < 0)
             s = g.index(name)
-            gens[key] = (s, tuple((k, e) for k, e in enumerate(gen.entries[s]) if e))
+            gens[key] = (s, _burau_row(g, ring, s, inverse=exp < 0))
         s, row_s = gens[key]
         rows[s] = tuple(
             _norm_entry(
                 [
-                    term
+                    (ea + eb, multiply(ring, fa, fb))
                     for k, e in row_s
-                    if rows[k][j]
-                    for term in _entry_mul(ring, e, rows[k][j])
+                    for ea, fa in e
+                    for eb, fb in rows[k][j]
                 ]
             )
             for j in range(g.rank)
@@ -254,33 +270,43 @@ def burau_word(g: CoxeterGraph, ring: FusionRing, word) -> LaurentFusionMatrix:
 
 
 def specialize_q(m: LaurentFusionMatrix, value: int = -1):
-    """Evaluate q and expand fusion coefficients into the lattice basis."""
+    """Evaluate q and expand fusion coefficients into the lattice basis.
+
+    Entries are ints where integral and Fractions otherwise.
+    """
     ring = m.ring
     nr = ring.rank
     n = m.size * nr
+    powers: dict[int, int | Fraction] = {}
     big = [[0] * n for _ in range(n)]
     for t in range(m.size):
         for s in range(m.size):
-            entry = m.entries[t][s]
-            if not entry:
-                continue
-            for f in range(nr):
-                col = s * nr + f
-                fsimple = FusionElement.simple(ring, f)
-                for exp, fe in entry:
+            for exp, fe in m.entries[t][s]:
+                weight = powers.get(exp)
+                if weight is None:
                     if value == 0 and exp < 0:
                         raise ValueError("cannot evaluate q^-1 at q=0")
                     weight = Fraction(value) ** exp
-                    prod = multiply(ring, fe, fsimple)
-                    for e, c in enumerate(prod.coefficients):
-                        if c:
-                            big[t * nr + e][col] += weight * c
-    out = []
-    for row in big:
-        out.append(
-            tuple(int(x) if Fraction(x).denominator == 1 else x for x in row)
+                    if weight.denominator == 1:
+                        weight = weight.numerator
+                    powers[exp] = weight
+                # [E][F] = sum_e N[E][F][e] [e], read straight from N
+                for j, c in enumerate(fe.coefficients):
+                    if not c:
+                        continue
+                    wc = weight * c
+                    for f, prod in enumerate(ring.N[j]):
+                        col = s * nr + f
+                        for e, x in enumerate(prod):
+                            if x:
+                                big[t * nr + e][col] += wc * x
+    return tuple(
+        tuple(
+            x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+            for x in row
         )
-    return tuple(out)
+        for row in big
+    )
 
 
 def burau_column(m: LaurentFusionMatrix, x: int):
@@ -316,15 +342,21 @@ def _block_apply(block, vec: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _block_rows(block, rows):
+    """(1 + U) rows: the block rows gain U's combinations of the old rows."""
+    out = list(rows)
+    for r, urow in block:
+        new = rows[r]
+        for k, u in urow:
+            new = [x + u * y for x, y in zip(new, rows[k])]
+        out[r] = tuple(new)
+    return out
+
+
 def _block_conjugate(block, refl):
     """(1 + U) refl (1 + U): a row update on the block rows, then a
     column update from the block columns."""
-    rows = list(refl)
-    for r, urow in block:
-        new = refl[r]
-        for k, u in urow:
-            new = [x + u * y for x, y in zip(new, refl[k])]
-        rows[r] = tuple(new)
+    rows = _block_rows(block, refl)
     out = []
     for row in rows:
         new = None
@@ -352,7 +384,7 @@ def root_layers(
     """
     if depth <= 0:
         return []
-    mats = [simple_reflection_matrix(g, ring, v) for v in g.vertices]
+    mats = simple_reflection_matrices(g, ring)
     nr = ring.rank
     n = g.rank * nr
     blocks = [

@@ -64,6 +64,20 @@ def test_module_entry_point_runs_main():
     assert "usage" in proc.stdout
 
 
+def test_import_leaves_numpy_out():
+    import coxtwist
+
+    src = os.path.dirname(os.path.dirname(coxtwist.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, coxtwist.cli; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
 def test_unknown_command_is_usage_error():
     assert run(["frobnicate"]).exit_code == 1
 
@@ -482,6 +496,14 @@ def test_chamber_max_iter_env(gpath, tmp_path, monkeypatch):
     assert json.loads(res.stdout)["status"] == "max_iterations"
     monkeypatch.setenv("COXTWIST_MAX_ITER", "bogus")
     assert run(["chamber", gpath("a2"), "--charge", z]).exit_code == 1
+
+
+@pytest.mark.parametrize("command", ["chamber", "regular-check", "tits-check"])
+def test_geometry_depth_must_be_positive(gpath, tmp_path, capsys, command):
+    z = charges_file(tmp_path, {"s": [1.0, 0.0], "t": [1.0, 0.0]})
+    res = run([command, gpath("rank2_inf"), "--charge", z, "--depth", "0"])
+    assert res == cli.CommandResult(1, "")
+    assert "--depth" in capsys.readouterr().err
 
 
 # ------------------------------------------- regular-check and tits-check

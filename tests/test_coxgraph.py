@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxtwist.coxgraph import INF, GraphError, gram_matrix, is_finite_type, parse_graph
+from coxtwist import coxgraph
+from coxtwist.coxgraph import (
+    INF,
+    GraphError,
+    InvariantError,
+    gram_matrix,
+    is_finite_type,
+    parse_graph,
+)
 
 from conftest import graph_json
 
@@ -271,10 +279,16 @@ def test_gram_matrix_is_symmetric_with_bounded_entries(make_graph):
         ["a", "b", "c", "d"],
         [("a", "b", 7), ("b", "c", "inf"), ("c", "d", 3)],
     )
-    b = gram_matrix(g)
+    b = np.asarray(gram_matrix(g))
     assert np.array_equal(b, b.T)
     assert np.all(np.diag(b) == 2.0)
     assert np.all(np.abs(b) <= 2.0)
+
+
+def test_classification_disagreement_is_invariant_error(make_graph, monkeypatch):
+    monkeypatch.setattr(coxgraph, "_smallest_pivot", lambda b: 0.0)
+    with pytest.raises(InvariantError, match="disagrees"):
+        is_finite_type(make_graph(["s", "t"], [("s", "t", 3)]))
 
 
 def test_induced_subgraph_keeps_labels(make_graph):

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from coxtwist import geometry, lattice
 from coxtwist.coxgraph import gram_matrix, parse_graph
 from coxtwist.fusion import coxeter_fusion_ring, fpdim
 from coxtwist.geometry import (
@@ -430,3 +431,113 @@ def test_imaginary_descent_drops_one_root_per_step():
             assert negatives(current) == count - 1
             count -= 1
         assert count == 0
+
+
+# ------------------------------------------------------ root walks per query
+
+EXTRA_JSON = {
+    "h4": graph_json("abcd", [("a", "b", 5), ("b", "c", 3), ("c", "d", 3)]),
+    "c73": graph_json("abc", [("a", "b", 7), ("b", "c", 3)]),
+}
+
+
+def setup_any(name):
+    g = parse_graph({**CORPUS_JSON, **EXTRA_JSON}[name])
+    return g, coxeter_fusion_ring(g)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The depth of every root walk, in call order, whichever module starts it."""
+    calls = []
+    real = lattice.root_layers
+
+    def spy(g, ring, depth):
+        calls.append(depth)
+        return real(g, ring, depth)
+
+    monkeypatch.setattr(lattice, "root_layers", spy)
+    monkeypatch.setattr(geometry, "root_layers", spy)
+    return calls
+
+
+def two_walk_regular(g, ring, z, depth, tol=1e-9):
+    """in_regular_set with the roots and the samples from separate walks."""
+    values = [abs(evaluate_charge(g, ring, z, r)) for r in enumerate_positive_roots(g, ring, depth)]
+    values += [
+        abs(sum(zi * ci for zi, ci in zip(z.values, x)))
+        for x in imaginary_cone_samples(g, ring, depth)
+    ]
+    if any(v < tol / 10 for v in values):
+        return "no"
+    return "yes" if all(v > tol for v in values) else "inconclusive"
+
+
+@pytest.mark.parametrize("name", ["chain45", "c73", "g2_affine"])
+def test_regular_set_walks_once(walks, name):
+    g, ring = setup_any(name)
+    rng = random.Random(name)
+    for k in range(4):
+        z = charge(*(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in g.vertices))
+        if k % 2:
+            z = CentralCharge(z.values[:-1] + (0j,))
+        walks.clear()
+        res = in_regular_set(g, ring, z)
+        assert walks == [8]
+        assert res == two_walk_regular(g, ring, z, 8)
+    assert res == "no"
+
+
+def test_regular_rejects_bad_depth():
+    g, ring = setup("g2_affine")
+    with pytest.raises(ValueError, match="depth"):
+        in_regular_set(g, ring, charge(1j, 1j, 1j), depth=0)
+
+
+@pytest.mark.parametrize("name", ["h4", "rank2_inf"])
+def test_chamber_needs_no_walk(walks, name):
+    g, ring = setup_any(name)
+    rng = random.Random(name)
+    for _ in range(10):
+        zc = CentralCharge(tuple(chamber_value(rng) for _ in g.vertices))
+        word = tuple(rng.choice(g.vertices) for _ in range(rng.randrange(8)))
+        rep = locate_chamber(g, ring, apply_word(g, word, zc))
+        assert rep.status == "located"
+    assert walks == []
+
+
+def test_tits_short_descent_needs_no_walk(walks):
+    g, ring = setup("g2_affine")
+    assert in_tits_interior(g, ring, (1.0, 1.0, 1.0)) == "yes"
+    assert in_tits_interior(g, ring, (-1.0, 2.0, 1.0)) == "yes"
+    assert walks == []
+
+
+def test_tits_budget_is_sized_by_one_walk(walks, monkeypatch):
+    g, ring = setup("g2_affine")
+    budget = geometry._default_budget(g, ring, 8)
+    walks.clear()
+    steps = []
+    real = geometry._reflect_values
+
+    def count(rows, si, vals):
+        steps.append(si)
+        return real(rows, si, vals)
+
+    monkeypatch.setattr(geometry, "_reflect_values", count)
+    assert in_tits_interior(g, ring, (-1.0, 0.0, 1.0)) == "inconclusive"
+    assert walks == [8]
+    assert len(steps) == budget > 10 * g.rank
+
+
+def test_long_descent_walks_once_and_keeps_its_report(walks):
+    g, ring = setup_any("h4")
+    rng = random.Random(4)
+    zc = CentralCharge(tuple(chamber_value(rng) for _ in g.vertices))
+    # (abcd)^15 is a reduced word of the longest element, of length 60
+    z = apply_word(g, g.vertices * 15, zc)
+    rep = locate_chamber(g, ring, z)
+    assert len(rep.word) == 60 >= 10 * g.rank
+    assert walks == [8]
+    assert rep == locate_chamber(g, ring, z, max_iter=geometry._default_budget(g, ring, 8))
+    assert rep.status == "located"

@@ -8,6 +8,7 @@ enumeration counts reflections.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,7 @@ from coxtwist.lattice import (
     coxeter_word_matrix,
     enumerate_positive_roots,
     root_layers,
+    simple_reflection_matrices,
     simple_reflection_matrix,
     simple_root,
     specialize_q,
@@ -497,3 +499,79 @@ def test_root_layers_match_dense_walk(name):
     dense = dense_root_layers(g, ring, 12)
     for depth in range(1, 13):
         assert root_layers(g, ring, depth) == dense[:depth]
+
+
+def random_words(g, rng, signed, count=5):
+    """The empty word and `count` random words of 1-12 letters."""
+    def letter():
+        v = rng.choice(g.vertices)
+        return (v, rng.choice((1, -1))) if signed else v
+
+    return [()] + [
+        tuple(letter() for _ in range(rng.randint(1, 12))) for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("name", SPARSE_GRAPHS)
+def test_simple_reflection_matrices_match_one_by_one(name):
+    g, ring = sparse_graph(name)
+    assert simple_reflection_matrices(g, ring) == tuple(
+        simple_reflection_matrix(g, ring, v) for v in g.vertices
+    )
+
+
+@pytest.mark.parametrize("name", SPARSE_GRAPHS)
+def test_coxeter_word_matrix_matches_dense_product(name):
+    g, ring = sparse_graph(name)
+    for w in random_words(g, random.Random(name), signed=False):
+        dense = identity(g.rank * ring.rank)
+        for v in w:
+            dense = lattice.mat_mul(simple_reflection_matrix(g, ring, v), dense)
+        assert coxeter_word_matrix(g, ring, w) == dense
+
+
+def fraction_specialize_q(m, value):
+    """specialize_q as first written: a Fraction for every weight and entry."""
+    ring = m.ring
+    nr = ring.rank
+    n = m.size * nr
+    big = [[0] * n for _ in range(n)]
+    for t in range(m.size):
+        for s in range(m.size):
+            entry = m.entries[t][s]
+            if not entry:
+                continue
+            for f in range(nr):
+                col = s * nr + f
+                fsimple = FusionElement.simple(ring, f)
+                for exp, fe in entry:
+                    if value == 0 and exp < 0:
+                        raise ValueError("cannot evaluate q^-1 at q=0")
+                    weight = Fraction(value) ** exp
+                    prod = multiply(ring, fe, fsimple)
+                    for e, c in enumerate(prod.coefficients):
+                        if c:
+                            big[t * nr + e][col] += weight * c
+    return tuple(
+        tuple(int(x) if Fraction(x).denominator == 1 else x for x in row)
+        for row in big
+    )
+
+
+@pytest.mark.parametrize("name", SPARSE_GRAPHS)
+def test_specialize_q_matches_fraction_reference(name):
+    g, ring = sparse_graph(name)
+    rng = random.Random(name)
+    for w in random_words(g, rng, signed=True, count=3):
+        m = burau_word(g, ring, w)
+        for value in (-1, 1, 2, Fraction(1, 2)):
+            got = specialize_q(m, value)
+            assert got == fraction_specialize_q(m, value)
+            for row in got:
+                for x in row:
+                    assert type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+    for w in random_words(g, rng, signed=False, count=3):
+        m = burau_word(g, ring, w)
+        assert specialize_q(m, 0) == fraction_specialize_q(m, 0)
+    with pytest.raises(ValueError, match="q=0"):
+        specialize_q(burau_word(g, ring, [(g.vertices[0], -1)]), 0)
