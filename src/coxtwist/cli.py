@@ -5,7 +5,8 @@ report to stdout: identical inputs give byte-identical output.  Exit
 codes are 0 for success or an affirmative answer, 1 for usage and input
 errors, 2 for computation failures (inconclusive verdicts, exhausted
 step budgets, charges outside the tractable region), and 3 for a
-negative decision.
+negative decision.  Input errors include a file that is not UTF-8, JSON
+nested too deep to parse, and a charge value that is not finite.
 
 The word-problem commands (word-eq, is-identity, shift-type,
 check-relations) decide equality in the group generated by the
@@ -76,7 +77,10 @@ _DECISION_EXIT = {"yes": 0, "no": 3, "inconclusive": 2}
 
 def _load_graph(path: str) -> CoxeterGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        try:
+            return parse_graph(fh.read())
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise GraphError(f"unreadable graph file: {exc}") from None
 
 
 def _parse_word(text: str, inverses: bool = True) -> tuple:
@@ -101,7 +105,8 @@ def _load_charges(path: str, g: CoxeterGraph) -> tuple[complex, ...]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # bad JSON, bad UTF-8 and over-long integers are ValueErrors
             raise _UsageError(f"invalid charge JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise _UsageError("charge file must map vertex names to [re, im] pairs")
@@ -123,6 +128,9 @@ def _load_charges(path: str, g: CoxeterGraph) -> tuple[complex, ...]:
         )
         if not ok:
             raise _UsageError(f"charge for {v!r} must be a [re, im] pair")
+        # NaN fails the comparison; ints compare exactly, without overflow
+        if not all(abs(x) <= sys.float_info.max for x in pair):
+            raise _UsageError(f"charge for {v!r} must be finite")
         values.append(complex(pair[0], pair[1]))
     return tuple(values)
 

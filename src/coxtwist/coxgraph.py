@@ -119,6 +119,21 @@ class CoxeterGraph:
         }
 
 
+def braid_letters(word) -> tuple[tuple[str, int], ...]:
+    """A braid word as (name, exponent) pairs, first letter first.
+
+    A letter is a vertex name, standing for (name, 1), or a (name, exp)
+    pair with exp +1 or -1; any other exponent raises ValueError.
+    """
+    letters = []
+    for letter in word:
+        name, exp = (letter, 1) if isinstance(letter, str) else letter
+        if exp not in (1, -1):
+            raise ValueError(f"braid letter exponents must be +1 or -1, got {exp!r}")
+        letters.append((name, exp))
+    return tuple(letters)
+
+
 def parse_graph(text: str) -> CoxeterGraph:
     """Parse and validate the JSON graph format."""
     try:

@@ -23,6 +23,8 @@ from .lattice import LatticeVector, root_layers
 
 _DEPTH = 8
 _ANGULAR_TOL = 1e-6
+# a charge or functional value within this of zero counts as zero
+_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ def phase_of_imaginary_cone(z: CentralCharge, samples) -> float:
     if not samples:
         raise ValueError("no imaginary cone samples to evaluate")
     vals = [sum(zi * ci for zi, ci in zip(z.values, x)) for x in samples]
-    if any(abs(v) < 1e-9 for v in vals):
+    if any(abs(v) < _TOL for v in vals):
         raise ValueError("charge vanishes on an imaginary cone sample")
     args = sorted(cmath.phase(v) for v in vals)
     if len(args) == 1:
@@ -207,6 +209,23 @@ def _budget(g: CoxeterGraph, ring: FusionRing, depth: int, max_iter):
     return spent
 
 
+def _descend(rows, current: list, pick, spent, word: list, steps: int = 0):
+    """Reflect current in place at pick(current) until pick returns None.
+
+    Each reflected index is appended to word.  Returns the total step
+    count, or None when spent(steps) holds before a reflection.
+    """
+    while True:
+        si = pick(current)
+        if si is None:
+            return steps
+        if spent(steps):
+            return None
+        current[:] = _reflect_values(rows, si, current)
+        word.append(si)
+        steps += 1
+
+
 def in_tits_interior(
     g: CoxeterGraph, ring: FusionRing, x, depth: int = _DEPTH, max_iter=None
 ) -> str:
@@ -224,26 +243,20 @@ def in_tits_interior(
         raise ValueError("functional length does not match the graph")
     if is_finite_type(g):
         return "yes"
-    tol = 1e-9
     exact = _exact_affine_ray(g)
     if exact is not None:
-        if math.fsum(c * s for c, s in zip(x, exact)) <= tol:
+        if math.fsum(c * s for c, s in zip(x, exact)) <= _TOL:
             return "no"
+
+    def negative(vals):
+        return next((i for i, c in enumerate(vals) if c < -_TOL), None)
+
+    current = [float(c) for c in x]
     spent = _budget(g, ring, depth, max_iter)
-    rows = _gram_rows(g)
-    current = tuple(float(c) for c in x)
-    steps = 0
-    while True:
-        si = next((i for i, c in enumerate(current) if c < -tol), None)
-        if si is None:
-            fixed = tuple(
-                g.vertices[i] for i, c in enumerate(current) if abs(c) <= tol
-            )
-            return "yes" if is_finite_type(g.induced(fixed)) else "no"
-        if spent(steps):
-            return "inconclusive"
-        current = _reflect_values(rows, si, current)
-        steps += 1
+    if _descend(_gram_rows(g), current, negative, spent, []) is None:
+        return "inconclusive"
+    fixed = tuple(g.vertices[i] for i, c in enumerate(current) if abs(c) <= _TOL)
+    return "yes" if is_finite_type(g.induced(fixed)) else "no"
 
 
 def in_regular_set(
@@ -251,7 +264,7 @@ def in_regular_set(
     ring: FusionRing,
     z: CentralCharge,
     depth: int = _DEPTH,
-    tol: float = 1e-9,
+    tol: float = _TOL,
 ) -> str:
     """Tri-state check that z misses every root and imaginary-cone wall.
 
@@ -284,7 +297,7 @@ def locate_chamber(
     g: CoxeterGraph,
     ring: FusionRing,
     z: CentralCharge,
-    tol: float = 1e-9,
+    tol: float = _TOL,
     max_iter=None,
     depth: int = _DEPTH,
 ) -> ChamberReport:
@@ -309,35 +322,27 @@ def locate_chamber(
         return ChamberReport("not_in_interior", complex(1), (), z)
     rows = _gram_rows(g)
     current = list(zn.values)
-    word: list[str] = []
+    word: list[int] = []
 
     def report(status):
-        return ChamberReport(status, k, tuple(word), CentralCharge(tuple(current), z.full))
+        names = tuple(g.vertices[i] for i in word)
+        return ChamberReport(status, k, names, CentralCharge(tuple(current), z.full))
 
-    steps = 0
-    while True:
-        si = next((i for i, c in enumerate(current) if c.imag < -tol), None)
-        if si is None:
-            break
-        if spent(steps):
-            return report("max_iterations")
-        current[:] = _reflect_values(rows, si, current)
-        word.append(g.vertices[si])
-        steps += 1
+    def below(vals):
+        return next((i for i, c in enumerate(vals) if c.imag < -tol), None)
 
+    steps = _descend(rows, current, below, spent, word)
+    if steps is None:
+        return report("max_iterations")
     fixed = tuple(i for i, c in enumerate(current) if abs(c.imag) <= tol)
     if not is_finite_type(g.induced(tuple(g.vertices[i] for i in fixed))):
         return report("not_in_interior")
 
-    while True:
-        ti = next((i for i in fixed if current[i].real > tol), None)
-        if ti is None:
-            break
-        if spent(steps):
-            return report("max_iterations")
-        current[:] = _reflect_values(rows, ti, current)
-        word.append(g.vertices[ti])
-        steps += 1
+    def right(vals):
+        return next((i for i in fixed if vals[i].real > tol), None)
+
+    if _descend(rows, current, right, spent, word, steps) is None:
+        return report("max_iterations")
 
     for i in fixed:
         if current[i].real >= -tol:

@@ -11,8 +11,14 @@ raises InvariantError, which python -O does not strip.  A complex is
 minimal when no entry contains an idempotent; gaussian_eliminate
 reaches that form.  Construction sorts the summands of each degree by
 (vertex, shift), so two equal minimal complexes compare equal as plain
-values.  A twist whose cone is empty, because no summand has a path
-from the twisting vertex, returns its input without rebuilding it.
+values.
+
+The twist and the inverse twist share one cone construction, `_cone`:
+the twist is the cone of the counit, the inverse twist that of the
+unit, and the two differ only in the degree and shift of the new
+summands and in which map joins them to the old ones.  A twist whose
+cone is empty, because no summand has a path from the twisting vertex,
+returns its input without rebuilding it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coxgraph import InvariantError
+from .coxgraph import InvariantError, braid_letters
 from .unfolding import UnfoldedGraph, fiber
 from .zigzag import (
     ONE,
@@ -233,15 +239,28 @@ def _unchanged(A: ZigzagAlgebra, c: Complex, eliminate: bool) -> Complex:
     return c
 
 
-def twist(A: ZigzagAlgebra, v, c: Complex, eliminate: bool = True) -> Complex:
-    """Spherical twist at an unfolded vertex: the cone of the counit
-    P_v (x) Hom(P_v, c) -> c, with the new summands one degree down."""
+def _cone(A: ZigzagAlgebra, v, c: Complex, eliminate: bool, side: int) -> Complex:
+    """The twist (side -1) or inverse twist (side +1) of c at v.
+
+    Both are cones over P_v (x) Hom(P_v, c): each path p from v to a
+    summand of c at degree i adds one summand P_v at degree i + side.
+    The twist maps it onto that summand by the counit, right
+    multiplication by p.  The inverse twist shifts it by <-2> and maps
+    the summand onto it by the unit, the comultiplication partner of p.
+    """
     v = _vertex_index(A, v)
     paths = A.paths_out[v]
     if not any(u in paths for summands in c.terms.values() for u, _ in summands):
         return _unchanged(A, c, eliminate)
     e_v = A._basis_index[("e", v)]
-    # cone[i] lists (row r of c.terms[i+1], path p from v to that summand)
+    shift = -2 if side > 0 else 0
+    # partner[y] = x over the comultiplication terms x (x) y at v
+    partner = (
+        {y: x for pairs in frobenius_comult(A, v).values() for x, y in pairs}
+        if side > 0
+        else {}
+    )
+    # cone[i] lists (row r of c.terms[i - side], path p from v to that summand)
     cone: dict[int, list[tuple[int, int]]] = {}
     for i, summands in c.terms.items():
         added = [
@@ -250,11 +269,12 @@ def twist(A: ZigzagAlgebra, v, c: Complex, eliminate: bool = True) -> Complex:
             for p in paths.get(u, ())
         ]
         if added:
-            cone[i - 1] = added
+            cone[i + side] = added
     terms = {}
     for i in set(c.terms) | set(cone):
         extra = tuple(
-            (v, c.terms[i + 1][r][1] + A.degree(p)) for r, p in cone.get(i, ())
+            (v, c.terms[i - side][r][1] + shift + A.degree(p))
+            for r, p in cone.get(i, ())
         )
         terms[i] = c.terms.get(i, ()) + extra
     diffs = {}
@@ -263,16 +283,24 @@ def twist(A: ZigzagAlgebra, v, c: Complex, eliminate: bool = True) -> Complex:
             continue
         old_cols = c.terms.get(i + 1, ())
         oldmat = c.diffs.get(i)
-        dmat = c.diffs.get(i + 1)
+        dmat = c.diffs.get(i - side)
+        new_cols = cone.get(i + 1, ())
         mat = []
         for r in range(len(c.terms.get(i, ()))):
             row = [oldmat[r][cc] if oldmat else () for cc in range(len(old_cols))]
-            row.extend(() for _ in cone.get(i + 1, ()))
+            # unit component (inverse twist): row r to the summands over it
+            row.extend(
+                ((partner[p2], ONE),) if side > 0 and r2 == r else ()
+                for r2, p2 in new_cols
+            )
             mat.append(row)
         for r, p in cone.get(i, ()):
-            # counit component: right multiplication by the path itself
-            row = [((p, ONE),) if cc == r else () for cc in range(len(old_cols))]
-            for r2, p2 in cone.get(i + 1, ()):
+            # counit component (twist): right multiplication by the path
+            row = [
+                ((p, ONE),) if side < 0 and cc == r else ()
+                for cc in range(len(old_cols))
+            ]
+            for r2, p2 in new_cols:
                 delta = dmat[r][r2] if dmat else ()
                 prod = multiply_combo(A, ((p, ONE),), delta)
                 co = next((co for b, co in prod if b == p2), None)
@@ -283,72 +311,16 @@ def twist(A: ZigzagAlgebra, v, c: Complex, eliminate: bool = True) -> Complex:
     return gaussian_eliminate(A, out) if eliminate else out
 
 
+def twist(A: ZigzagAlgebra, v, c: Complex, eliminate: bool = True) -> Complex:
+    """Spherical twist at an unfolded vertex: the cone of the counit
+    P_v (x) Hom(P_v, c) -> c, with the new summands one degree down."""
+    return _cone(A, v, c, eliminate, -1)
+
+
 def dual_twist(A: ZigzagAlgebra, v, c: Complex, eliminate: bool = True) -> Complex:
     """Inverse twist: the cone of the unit c -> P_v (x) Hom(P_v, c),
     with the new summands one degree up and an internal shift by -2."""
-    v = _vertex_index(A, v)
-    paths = A.paths_out[v]
-    if not any(u in paths for summands in c.terms.values() for u, _ in summands):
-        return _unchanged(A, c, eliminate)
-    e_v = A._basis_index[("e", v)]
-    # partner[y] = x over the comultiplication terms x (x) y at v
-    partner = {
-        y: x for pairs in frobenius_comult(A, v).values() for x, y in pairs
-    }
-    cone: dict[int, list[tuple[int, int]]] = {}
-    for i, summands in c.terms.items():
-        added = [
-            (r, y)
-            for r, (u, _) in enumerate(summands)
-            for y in paths.get(u, ())
-        ]
-        if added:
-            cone[i + 1] = added
-    terms = {}
-    for i in set(c.terms) | set(cone):
-        extra = tuple(
-            (v, c.terms[i - 1][r][1] - 2 + A.degree(y))
-            for r, y in cone.get(i, ())
-        )
-        terms[i] = c.terms.get(i, ()) + extra
-    diffs = {}
-    for i in terms:
-        if i + 1 not in terms:
-            continue
-        old_cols = c.terms.get(i + 1, ())
-        oldmat = c.diffs.get(i)
-        prevmat = c.diffs.get(i - 1)
-        mat = []
-        for r in range(len(c.terms.get(i, ()))):
-            row = [oldmat[r][cc] if oldmat else () for cc in range(len(old_cols))]
-            # unit component: the comultiplication partner of each column
-            for r2, y2 in cone.get(i + 1, ()):
-                row.append(((partner[y2], ONE),) if r2 == r else ())
-            mat.append(row)
-        for r, y in cone.get(i, ()):
-            row: list[Combo] = [() for _ in range(len(old_cols))]
-            for r2, y2 in cone.get(i + 1, ()):
-                delta = prevmat[r][r2] if prevmat else ()
-                prod = multiply_combo(A, ((y, ONE),), delta)
-                co = next((co for b, co in prod if b == y2), None)
-                row.append(((e_v, -co),) if co else ())
-            mat.append(row)
-        diffs[i] = mat
-    out = make_complex(A, terms, diffs)
-    return gaussian_eliminate(A, out) if eliminate else out
-
-
-def _braid_letters(word) -> tuple[tuple[str, int], ...]:
-    letters = []
-    for letter in word:
-        if isinstance(letter, str):
-            letters.append((letter, 1))
-            continue
-        name, exp = letter
-        if exp not in (1, -1):
-            raise ValueError(f"twist letters need exponent +1 or -1, got {exp!r}")
-        letters.append((name, exp))
-    return tuple(letters)
+    return _cone(A, v, c, eliminate, 1)
 
 
 def _apply_letters(A, u, letters, c: Complex) -> Complex:
@@ -362,7 +334,7 @@ def _apply_letters(A, u, letters, c: Complex) -> Complex:
 def apply_braid_word(A: ZigzagAlgebra, u: UnfoldedGraph, word, c: Complex) -> Complex:
     """Act by a word in the base generators, first letter first; each
     letter twists (or untwists) along every vertex of its fiber."""
-    return _apply_letters(A, u, _braid_letters(word), c)
+    return _apply_letters(A, u, braid_letters(word), c)
 
 
 def complex_class(A: ZigzagAlgebra, c: Complex):
@@ -382,7 +354,7 @@ def complex_class(A: ZigzagAlgebra, c: Complex):
 def is_identity_word(A: ZigzagAlgebra, u: UnfoldedGraph, word) -> bool:
     """Whether the word acts trivially on every projective.  This
     decides equality in the group generated by the twists themselves."""
-    letters = _braid_letters(word)
+    letters = braid_letters(word)
     return all(
         _apply_letters(A, u, letters, projective_complex(A, x))
         == projective_complex(A, x)
@@ -393,7 +365,7 @@ def is_identity_word(A: ZigzagAlgebra, u: UnfoldedGraph, word) -> bool:
 def recognize_shift(A: ZigzagAlgebra, u: UnfoldedGraph, word, pure: bool = False):
     """(a, b) when the word acts as the shift [a]<b> on every
     projective, None otherwise; pure mode only accepts b = 0."""
-    letters = _braid_letters(word)
+    letters = braid_letters(word)
     result = None
     for x in range(len(u.vertices)):
         out = _apply_letters(A, u, letters, projective_complex(A, x))
@@ -416,6 +388,6 @@ def words_equal(A: ZigzagAlgebra, u: UnfoldedGraph, first, second) -> bool:
     """Compare two words by checking that first . second^{-1} acts
     trivially."""
     inv = tuple(
-        (name, -exp) for name, exp in reversed(_braid_letters(second))
+        (name, -exp) for name, exp in reversed(braid_letters(second))
     )
-    return is_identity_word(A, u, _braid_letters(first) + inv)
+    return is_identity_word(A, u, braid_letters(first) + inv)

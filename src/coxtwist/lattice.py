@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coxgraph import INF, CoxeterGraph
+from .coxgraph import INF, CoxeterGraph, braid_letters
 from .fusion import FusionElement, FusionRing, edge_object, multiply
 
 
@@ -208,13 +208,18 @@ def _laurent_identity(g: CoxeterGraph, ring: FusionRing) -> LaurentFusionMatrix:
     return LaurentFusionMatrix(ring, g.rank, entries)
 
 
-def _burau_row(g: CoxeterGraph, ring: FusionRing, s: int, inverse: bool):
-    """The nonzero entries (column, entry) of row s of sigma_s, by column."""
+def _burau_row(ring: FusionRing, forms, s: int, inverse: bool):
+    """The nonzero entries (column, entry) of row s of sigma_s, by column.
+
+    Off the diagonal, forms[s][t] is -[Pi(e)] for the edge e = {s, t}
+    and zero for a non-neighbor t.
+    """
     qexp = -1 if inverse else 1
-    row = {s: _unit_entry(ring, exp=2 * qexp, scale=-1)}
-    for t in g.neighbors(s):
-        row[t] = _norm_entry([(qexp, -edge_object(g, (s, t)))])
-    return tuple(sorted(row.items()))
+    return tuple(
+        (t, _unit_entry(ring, exp=2 * qexp, scale=-1) if t == s else ((qexp, form),))
+        for t, form in enumerate(forms[s])
+        if t == s or any(form.coefficients)
+    )
 
 
 def burau_generator(
@@ -224,20 +229,9 @@ def burau_generator(
     si = g.index(s)
     rows = [list(r) for r in _laurent_identity(g, ring).entries]
     rows[si] = [()] * g.rank
-    for t, entry in _burau_row(g, ring, si, inverse):
+    for t, entry in _burau_row(ring, _pair_forms(g, ring), si, inverse):
         rows[si][t] = entry
     return LaurentFusionMatrix(ring, g.rank, tuple(tuple(r) for r in rows))
-
-
-def _letters(word):
-    for letter in word:
-        if isinstance(letter, str):
-            yield letter, 1
-        else:
-            name, exp = letter
-            if exp not in (1, -1):
-                raise ValueError(f"braid letter exponents must be +-1, got {exp}")
-            yield name, exp
 
 
 def burau_word(g: CoxeterGraph, ring: FusionRing, word) -> LaurentFusionMatrix:
@@ -248,12 +242,13 @@ def burau_word(g: CoxeterGraph, ring: FusionRing, word) -> LaurentFusionMatrix:
     """
     # (letter, sign) -> (row s, the nonzero entries of row s of sigma_s)
     gens: dict[tuple[str, int], tuple[int, tuple[tuple[int, LaurentEntry], ...]]] = {}
+    forms = _pair_forms(g, ring)
     rows = list(_laurent_identity(g, ring).entries)
-    for name, exp in _letters(word):
+    for name, exp in braid_letters(word):
         key = (name, exp)
         if key not in gens:
             s = g.index(name)
-            gens[key] = (s, _burau_row(g, ring, s, inverse=exp < 0))
+            gens[key] = (s, _burau_row(ring, forms, s, inverse=exp < 0))
         s, row_s = gens[key]
         rows[s] = tuple(
             _norm_entry(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coxgraph import INF, CoxeterGraph, GraphError, InvariantError
+from .coxgraph import INF, CoxeterGraph, GraphError, InvariantError, braid_letters
 from .fusion import (
     FusionElement,
     FusionRing,
@@ -128,13 +128,7 @@ def lcm_translate(u: UnfoldedGraph, word) -> tuple[tuple[Vertex, int], ...]:
     reversed order so that concatenation inverts blockwise.
     """
     out: list[tuple[Vertex, int]] = []
-    for letter in word:
-        if isinstance(letter, str):
-            name, exp = letter, 1
-        else:
-            name, exp = letter
-        if exp not in (1, -1):
-            raise ValueError(f"exponent must be +1 or -1, got {exp!r}")
+    for name, exp in braid_letters(word):
         block = [(v, exp) for v in fiber(u, name)]
         if exp == -1:
             block.reverse()

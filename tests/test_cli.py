@@ -8,6 +8,7 @@ twice to enforce the byte-identical determinism contract.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -117,6 +118,21 @@ def test_malformed_graph_is_usage_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"vertices": ["s"]}')
     assert run(["fusion-table", str(p)]).exit_code == 1
+
+
+def test_undecodable_graph_is_input_error(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"vertices": ["s\u00e9"], "edges": []}'.encode("latin-1"))
+    assert run(["roots", str(p)]).exit_code == 1
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_deep_graph_is_input_error(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text(DEEP_JSON)
+    assert run(["roots", str(p)]).exit_code == 1
 
 
 def test_top_level_help():
@@ -434,6 +450,35 @@ def charges_file(tmp_path, mapping, name="z.json"):
     p = tmp_path / name
     p.write_text(json.dumps(mapping))
     return str(p)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        DEEP_JSON,
+        '{"s": [1.0, 0.0], "t\u00e9": [1.0, 0.0]}'.encode("latin-1"),
+        '{"s": [1%s, 0.0], "t": [1.0, 0.0]}' % ("0" * 5000),
+    ],
+    ids=["deep", "latin1", "int-over-digit-limit"],
+)
+def test_unreadable_charge_file_is_input_error(gpath, tmp_path, text):
+    p = tmp_path / "z.json"
+    p.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert run(["chamber", gpath("a2"), "--charge", str(p)]).exit_code == 1
+
+
+@pytest.mark.parametrize("command", ["chamber", "regular-check"])
+@pytest.mark.parametrize("graph", ["a2", "chain45"])
+@pytest.mark.parametrize(
+    "bad", [math.nan, -math.inf, 10**400], ids=["nan", "-inf", "int-beyond-float"]
+)
+def test_non_finite_charge_is_input_error(gpath, tmp_path, command, graph, bad):
+    g = parse_graph(CORPUS_JSON[graph])
+    mapping = {v: [0.5, 1.0] for v in g.vertices}
+    mapping[g.vertices[0]] = [0.5, bad]
+    z = charges_file(tmp_path, mapping)
+    res = run([command, gpath(graph), "--charge", z])
+    assert (res.exit_code, res.stdout) == (1, "")
 
 
 def test_chamber_fixed_point_golden(gpath, tmp_path):

@@ -382,6 +382,22 @@ def test_locate_budget_exhaustion():
     assert rep.status == "max_iterations"
 
 
+def test_locate_budget_exhaustion_in_the_second_phase():
+    # (1+i, -i) takes one reflection at t to (1, i); then the value at s
+    # sits on the positive real axis and needs one more, at s
+    g, ring = setup("a2")
+    z = charge(1 + 1j, -1j)
+    rep = locate_chamber(g, ring, z, max_iter=1)
+    assert rep.status == "max_iterations"
+    assert rep.word == ("t",)
+    for got, want in zip(rep.charge.values, (1, 1j)):
+        assert abs(got - want) < 1e-12
+    done = locate_chamber(g, ring, z, max_iter=2)
+    assert done.status == "located"
+    assert done.word == ("t", "s")
+    assert done == locate_chamber(g, ring, z)
+
+
 def chamber_value(rng):
     if rng.random() < 0.3:
         return complex(rng.uniform(-2.5, -0.3), 0.0)

@@ -8,10 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from coxtwist.coxgraph import GraphError, InvariantError, parse_graph
+from coxtwist import homotopy
+from coxtwist.coxgraph import GraphError, InvariantError, braid_letters, parse_graph
 from coxtwist.fusion import coxeter_fusion_ring
 from coxtwist.homotopy import (
     Complex,
+    _unchanged,
     apply_braid_word,
     complex_class,
     dual_twist,
@@ -24,8 +26,8 @@ from coxtwist.homotopy import (
     words_equal,
 )
 from coxtwist.lattice import burau_column, burau_word
-from coxtwist.unfolding import lcm_translate, unfold
-from coxtwist.zigzag import build_zigzag
+from coxtwist.unfolding import fiber, lcm_translate, unfold
+from coxtwist.zigzag import _vertex_index, build_zigzag, frobenius_comult, multiply_combo
 
 from conftest import CORPUS_JSON, graph_json
 
@@ -482,3 +484,180 @@ def test_twist_round_trip_on_random_words(name):
     assert seen[False]
     if len(u.vertices) > 2:
         assert seen[True]
+
+
+# The twist and the inverse twist as two separate cone constructions,
+# kept as the reference for the shared one.
+def ref_twist(A, v, c, eliminate=True):
+    v = _vertex_index(A, v)
+    paths = A.paths_out[v]
+    if not any(u in paths for summands in c.terms.values() for u, _ in summands):
+        return _unchanged(A, c, eliminate)
+    e_v = A._basis_index[("e", v)]
+    cone = {}
+    for i, summands in c.terms.items():
+        added = [
+            (r, p)
+            for r, (u, _) in enumerate(summands)
+            for p in paths.get(u, ())
+        ]
+        if added:
+            cone[i - 1] = added
+    terms = {}
+    for i in set(c.terms) | set(cone):
+        extra = tuple(
+            (v, c.terms[i + 1][r][1] + A.degree(p)) for r, p in cone.get(i, ())
+        )
+        terms[i] = c.terms.get(i, ()) + extra
+    diffs = {}
+    for i in terms:
+        if i + 1 not in terms:
+            continue
+        old_cols = c.terms.get(i + 1, ())
+        oldmat = c.diffs.get(i)
+        dmat = c.diffs.get(i + 1)
+        mat = []
+        for r in range(len(c.terms.get(i, ()))):
+            row = [oldmat[r][cc] if oldmat else () for cc in range(len(old_cols))]
+            row.extend(() for _ in cone.get(i + 1, ()))
+            mat.append(row)
+        for r, p in cone.get(i, ()):
+            row = [((p, ONE),) if cc == r else () for cc in range(len(old_cols))]
+            for r2, p2 in cone.get(i + 1, ()):
+                delta = dmat[r][r2] if dmat else ()
+                prod = multiply_combo(A, ((p, ONE),), delta)
+                co = next((co for b, co in prod if b == p2), None)
+                row.append(((e_v, -co),) if co else ())
+            mat.append(row)
+        diffs[i] = mat
+    out = make_complex(A, terms, diffs)
+    return gaussian_eliminate(A, out) if eliminate else out
+
+
+def ref_dual_twist(A, v, c, eliminate=True):
+    v = _vertex_index(A, v)
+    paths = A.paths_out[v]
+    if not any(u in paths for summands in c.terms.values() for u, _ in summands):
+        return _unchanged(A, c, eliminate)
+    e_v = A._basis_index[("e", v)]
+    partner = {
+        y: x for pairs in frobenius_comult(A, v).values() for x, y in pairs
+    }
+    cone = {}
+    for i, summands in c.terms.items():
+        added = [
+            (r, y)
+            for r, (u, _) in enumerate(summands)
+            for y in paths.get(u, ())
+        ]
+        if added:
+            cone[i + 1] = added
+    terms = {}
+    for i in set(c.terms) | set(cone):
+        extra = tuple(
+            (v, c.terms[i - 1][r][1] - 2 + A.degree(y))
+            for r, y in cone.get(i, ())
+        )
+        terms[i] = c.terms.get(i, ()) + extra
+    diffs = {}
+    for i in terms:
+        if i + 1 not in terms:
+            continue
+        old_cols = c.terms.get(i + 1, ())
+        oldmat = c.diffs.get(i)
+        prevmat = c.diffs.get(i - 1)
+        mat = []
+        for r in range(len(c.terms.get(i, ()))):
+            row = [oldmat[r][cc] if oldmat else () for cc in range(len(old_cols))]
+            for r2, y2 in cone.get(i + 1, ()):
+                row.append(((partner[y2], ONE),) if r2 == r else ())
+            mat.append(row)
+        for r, y in cone.get(i, ()):
+            row = [() for _ in range(len(old_cols))]
+            for r2, y2 in cone.get(i + 1, ()):
+                delta = prevmat[r][r2] if prevmat else ()
+                prod = multiply_combo(A, ((y, ONE),), delta)
+                co = next((co for b, co in prod if b == y2), None)
+                row.append(((e_v, -co),) if co else ())
+            mat.append(row)
+        diffs[i] = mat
+    out = make_complex(A, terms, diffs)
+    return gaussian_eliminate(A, out) if eliminate else out
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_GRAPHS))
+def test_shared_cone_matches_the_separate_constructions(name):
+    g = parse_graph(ROUND_TRIP_GRAPHS[name])
+    u = unfold(g)
+    A = build_zigzag(u)
+    rng = random.Random(f"cone-{name}")
+    for _ in range(3):
+        word = tuple(
+            (rng.choice(g.vertices), rng.choice((1, -1)))
+            for _ in range(rng.randint(0, 3))
+        )
+        c = apply_braid_word(A, u, word, projective_complex(A, rng.randrange(len(u.vertices))))
+        for v in range(len(u.vertices)):
+            for eliminate in (False, True):
+                assert homotopy._cone(A, v, c, eliminate, -1) == ref_twist(A, v, c, eliminate)
+                assert homotopy._cone(A, v, c, eliminate, 1) == ref_dual_twist(
+                    A, v, c, eliminate
+                )
+
+
+def letter_users():
+    g, u, A = setup("i2_5")
+    ring = coxeter_fusion_ring(g)
+    p = projective_complex(A, 0)
+    return {
+        "burau_word": lambda w: burau_word(g, ring, w),
+        "apply_braid_word": lambda w: apply_braid_word(A, u, w, p),
+        "is_identity_word": lambda w: is_identity_word(A, u, w),
+        "words_equal_first": lambda w: words_equal(A, u, w, ("s",)),
+        "words_equal_second": lambda w: words_equal(A, u, ("s",), w),
+        "lcm_translate": lambda w: lcm_translate(u, w),
+    }
+
+
+@pytest.mark.parametrize(
+    "user",
+    [
+        "burau_word",
+        "apply_braid_word",
+        "is_identity_word",
+        "words_equal_first",
+        "words_equal_second",
+        "lcm_translate",
+    ],
+)
+def test_braid_letters_take_one_exponent_rule(user):
+    fn = letter_users()[user]
+    for exp in (2, 0):
+        with pytest.raises(ValueError, match="exponent"):
+            fn(("t", ("s", exp)))
+    assert fn(("s", ("t", -1))) == fn((("s", 1), ("t", -1)))
+
+
+def test_braid_letters_normalize_names():
+    assert braid_letters(("s", ("t", -1), ("u", 1))) == (("s", 1), ("t", -1), ("u", 1))
+    assert braid_letters(()) == ()
+
+
+def test_braid_words_call_the_module_twists(monkeypatch):
+    # the perfbench tracer patches these two names and reads their results
+    _, u, A = setup("i2_5")
+    calls = {"twist": 0, "dual_twist": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    want = apply_braid_word(A, u, ("s", ("t", -1)), projective_complex(A, 0))
+    monkeypatch.setattr(homotopy, "twist", counting("twist", twist))
+    monkeypatch.setattr(homotopy, "dual_twist", counting("dual_twist", dual_twist))
+    got = apply_braid_word(A, u, ("s", ("t", -1)), projective_complex(A, 0))
+    assert got == want
+    assert calls == {"twist": len(fiber(u, "s")), "dual_twist": len(fiber(u, "t"))}
