@@ -138,7 +138,7 @@ def parse_graph(text: str) -> CoxeterGraph:
     """Parse and validate the JSON graph format."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
         raise GraphError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise GraphError("graph document must be a JSON object")

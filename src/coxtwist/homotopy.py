@@ -19,6 +19,14 @@ unit, and the two differ only in the degree and shift of the new
 summands and in which map joins them to the old ones.  A twist whose
 cone is empty, because no summand has a path from the twisting vertex,
 returns its input without rebuilding it.
+
+The word problems (is_identity_word, recognize_shift, words_equal) start
+from one projective per base vertex, P_(s,1) on the unit of the fusion
+ring, not from every unfolded vertex.  The zigzag algebra is an algebra
+object in the fusion category, so P_(s,E) = P_(s,1) (x) E, and the
+twists along one fiber commute with - (x) E up to isomorphism.  A word
+that fixes, or shifts by [a]<b>, every P_(s,1) therefore does the same
+to every projective.
 """
 
 from __future__ import annotations
@@ -323,18 +331,29 @@ def dual_twist(A: ZigzagAlgebra, v, c: Complex, eliminate: bool = True) -> Compl
     return _cone(A, v, c, eliminate, 1)
 
 
-def _apply_letters(A, u, letters, c: Complex) -> Complex:
-    for name, exp in letters:
+def _fiber_plan(u: UnfoldedGraph, word) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Each letter of the word as its exponent and the unfolded indices
+    of its fiber, resolved once for all the complexes it acts on."""
+    return tuple(
+        (exp, tuple(u.index(pair) for pair in fiber(u, name)))
+        for name, exp in braid_letters(word)
+    )
+
+
+def _apply_plan(A: ZigzagAlgebra, plan, c: Complex) -> Complex:
+    # twist and dual_twist are looked up per call, so that patching the
+    # module names sees every twist
+    for exp, vertices in plan:
         op = twist if exp == 1 else dual_twist
-        for pair in fiber(u, name):
-            c = op(A, u.index(pair), c)
+        for v in vertices:
+            c = op(A, v, c)
     return c
 
 
 def apply_braid_word(A: ZigzagAlgebra, u: UnfoldedGraph, word, c: Complex) -> Complex:
     """Act by a word in the base generators, first letter first; each
     letter twists (or untwists) along every vertex of its fiber."""
-    return _apply_letters(A, u, braid_letters(word), c)
+    return _apply_plan(A, _fiber_plan(u, word), c)
 
 
 def complex_class(A: ZigzagAlgebra, c: Complex):
@@ -351,24 +370,40 @@ def complex_class(A: ZigzagAlgebra, c: Complex):
     )
 
 
+def _unit_starts(u: UnfoldedGraph) -> tuple[int, ...]:
+    """Index of (s, 1) for each base vertex s, 1 being the ring's unit:
+    the starts P_(s,1) of the word problems."""
+    unit = u.ring.basis[u.ring.unit_index]
+    return tuple(u.index((s, unit)) for s in u.base.vertices)
+
+
 def is_identity_word(A: ZigzagAlgebra, u: UnfoldedGraph, word) -> bool:
     """Whether the word acts trivially on every projective.  This
-    decides equality in the group generated by the twists themselves."""
-    letters = braid_letters(word)
+    decides equality in the group generated by the twists themselves.
+
+    Only the unit fiber is swept: P_(s,E) = P_(s,1) (x) E, and the fiber
+    twists commute with - (x) E up to isomorphism, so a word that fixes
+    every P_(s,1) fixes every projective.
+    """
+    plan = _fiber_plan(u, word)
     return all(
-        _apply_letters(A, u, letters, projective_complex(A, x))
-        == projective_complex(A, x)
-        for x in range(len(u.vertices))
+        _apply_plan(A, plan, projective_complex(A, x)) == projective_complex(A, x)
+        for x in _unit_starts(u)
     )
 
 
 def recognize_shift(A: ZigzagAlgebra, u: UnfoldedGraph, word, pure: bool = False):
     """(a, b) when the word acts as the shift [a]<b> on every
-    projective, None otherwise; pure mode only accepts b = 0."""
-    letters = braid_letters(word)
+    projective, None otherwise; pure mode only accepts b = 0.
+
+    As in is_identity_word, the shift is read off the unit fiber: the
+    twists commute with - (x) E, so the word shifts P_(s,E) = P_(s,1) (x) E
+    exactly as it shifts P_(s,1).
+    """
+    plan = _fiber_plan(u, word)
     result = None
-    for x in range(len(u.vertices)):
-        out = _apply_letters(A, u, letters, projective_complex(A, x))
+    for x in _unit_starts(u):
+        out = _apply_plan(A, plan, projective_complex(A, x))
         if len(out.terms) != 1:
             return None
         ((deg, summands),) = out.terms.items()

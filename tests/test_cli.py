@@ -135,6 +135,12 @@ def test_deep_graph_is_input_error(tmp_path):
     assert run(["roots", str(p)]).exit_code == 1
 
 
+def test_graph_int_over_digit_limit_is_input_error(tmp_path):
+    p = tmp_path / "huge.json"
+    p.write_text('{"vertices": ["s", "t"], "edges": [{"ends": ["s", "t"], "m": %s}]}' % ("9" * 5001))
+    assert run(["roots", str(p)]).exit_code == 1
+
+
 def test_top_level_help():
     res = run(["--help"])
     assert res.exit_code == 0

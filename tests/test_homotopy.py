@@ -1,5 +1,6 @@
 """Oracles for complexes, Gaussian elimination, and the twist action."""
 
+import functools
 import os
 import random
 import subprocess
@@ -7,9 +8,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxtwist import homotopy
-from coxtwist.coxgraph import GraphError, InvariantError, braid_letters, parse_graph
+from coxtwist.coxgraph import INF, GraphError, InvariantError, braid_letters, parse_graph
 from coxtwist.fusion import coxeter_fusion_ring
 from coxtwist.homotopy import (
     Complex,
@@ -661,3 +664,140 @@ def test_braid_words_call_the_module_twists(monkeypatch):
     got = apply_braid_word(A, u, ("s", ("t", -1)), projective_complex(A, 0))
     assert got == want
     assert calls == {"twist": len(fiber(u, "s")), "dual_twist": len(fiber(u, "t"))}
+
+
+# The word problems start from the unit fiber only.  The sweep over every
+# unfolded vertex is kept here as the reference they must agree with.
+def full_sweep(A, u, word):
+    """The image of every projective under the word, by vertex index."""
+    letters = braid_letters(word)
+    return [
+        apply_braid_word(A, u, letters, projective_complex(A, x))
+        for x in range(len(u.vertices))
+    ]
+
+
+def ref_is_identity(A, images):
+    return all(out == projective_complex(A, x) for x, out in enumerate(images))
+
+
+def ref_shift(images, pure=False):
+    result = None
+    for x, out in enumerate(images):
+        if len(out.terms) != 1:
+            return None
+        ((deg, summands),) = out.terms.items()
+        if len(summands) != 1:
+            return None
+        v, k = summands[0]
+        if v != x or (pure and k != 0):
+            return None
+        if result is None:
+            result = (-deg, k)
+        elif result != (-deg, k):
+            return None
+    return result
+
+
+def inverse_word(word):
+    return tuple((name, -exp) for name, exp in reversed(braid_letters(word)))
+
+
+def alternating(s, t, m):
+    return tuple((s, t)[k % 2] for k in range(m))
+
+
+SWEEP_GRAPHS = {
+    **ROUND_TRIP_GRAPHS,
+    "l579": graph_json("abcd", [("a", "b", 5), ("b", "c", 7), ("c", "d", 9)]),
+}
+# the reference sweep grows with the ring rank (24 on the 5-7-9 chain)
+# and the complexes with the word, so large rings get shorter words; the
+# 5-7-9 chain keeps only relators of length 4 (its m = 9 braid relation
+# takes seconds per full sweep)
+MAX_LETTERS = {"chain45": 2, "chain57": 2, "g2_affine": 2, "l579": 1}
+MAX_RELATOR = {"l579": 4}
+
+
+@functools.cache
+def sweep_setup(name):
+    g = parse_graph(SWEEP_GRAPHS[name])
+    u = unfold(g)
+    return g, u, build_zigzag(u)
+
+
+def relators(g):
+    """Words that act trivially: inverse pairs, and for each pair of
+    vertices with a finite label m, the braid relation of length 2m."""
+    out = [((s, 1), (s, -1)) for s in g.vertices]
+    for i, s in enumerate(g.vertices):
+        for t in g.vertices[i + 1:]:
+            m = g.label(i, g.index(t))
+            if m != INF:
+                out.append(alternating(s, t, m) + inverse_word(alternating(t, s, m)))
+    return out
+
+
+@st.composite
+def sweep_cases(draw):
+    name = draw(st.sampled_from(sorted(SWEEP_GRAPHS)))
+    g, _, _ = sweep_setup(name)
+    cap = MAX_LETTERS.get(name, 3)
+    letter = st.tuples(st.sampled_from(g.vertices), st.sampled_from((1, -1)))
+    word = tuple(draw(st.lists(letter, max_size=cap)))
+    if draw(st.booleans()):
+        # a conjugated relator, which must act trivially
+        kept = [r for r in relators(g) if len(r) <= MAX_RELATOR.get(name, len(r))]
+        word = word + draw(st.sampled_from(kept)) + inverse_word(word)
+    other = tuple(draw(st.lists(letter, max_size=cap)))
+    return name, word, other
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=sweep_cases())
+def test_unit_fiber_sweep_matches_the_full_sweep(case):
+    name, word, other = case
+    _, u, A = sweep_setup(name)
+    images = full_sweep(A, u, word)
+    assert is_identity_word(A, u, word) == ref_is_identity(A, images)
+    for pure in (False, True):
+        assert recognize_shift(A, u, word, pure) == ref_shift(images, pure)
+    # word . other equals other exactly when word acts trivially
+    assert words_equal(A, u, word + other, other) == ref_is_identity(A, images)
+
+
+FULL_TWIST_GRAPHS = {**CORPUS_JSON, "i2_6": graph_json("st", [("s", "t", 6)])}
+
+
+@pytest.mark.parametrize(
+    "name, delta, shift",
+    [
+        ("a2", alternating("s", "t", 3), (4, 6)),
+        ("a3", ("s", "t", "s", "u", "t", "s"), (6, 8)),
+        ("i2_4", alternating("s", "t", 4), (6, 8)),
+        ("i2_5", alternating("s", "t", 5), (8, 10)),
+        ("i2_6", alternating("s", "t", 6), (10, 12)),
+    ],
+)
+def test_full_twist_is_a_shift(name, delta, shift):
+    u = unfold(parse_graph(FULL_TWIST_GRAPHS[name]))
+    A = build_zigzag(u)
+    for word, want in ((delta + delta, shift), (delta, None)):
+        assert recognize_shift(A, u, word) == ref_shift(full_sweep(A, u, word)) == want
+    assert recognize_shift(A, u, delta + delta, pure=True) is None
+
+
+def test_identity_sweep_starts_once_per_base_vertex(monkeypatch):
+    g, u, A = sweep_setup("l579")
+    starts = []
+
+    def spy(A, v, *args):
+        starts.append(v)
+        return projective_complex(A, v, *args)
+
+    monkeypatch.setattr(homotopy, "projective_complex", spy)
+    assert is_identity_word(A, u, ("a", ("a", -1)))
+    unit = u.ring.basis[u.ring.unit_index]
+    # each start is built twice: once to act on, once to compare with
+    assert sorted(starts) == sorted(2 * [u.index((s, unit)) for s in g.vertices])
+    assert len(starts) == 2 * g.rank < len(u.vertices)
