@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxgraph import INF, CoxeterGraph, GraphError, parse_graph
-from .fusion import FusionElement, FusionRing, coxeter_fusion_ring, multiply
+from .fusion import FusionElement, FusionRing, coxeter_fusion_ring
 from .geometry import CentralCharge, in_regular_set, in_tits_interior, locate_chamber
 from .homotopy import (
     apply_braid_word,
@@ -277,12 +277,10 @@ def _cmd_fusion_table(args, out) -> int:
     print("simples: " + " ".join(ring.basis), file=out)
     for lab, d in zip(ring.basis, ring.fpdim):
         print(f"fpdim {lab}: {d:.15g}", file=out)
-    for i, a in enumerate(ring.basis):
-        for j, b in enumerate(ring.basis):
-            prod = multiply(
-                ring, FusionElement.simple(ring, i), FusionElement.simple(ring, j)
-            )
-            print(f"{a} * {b} = {_fmt_element(ring, prod)}", file=out)
+    for a, row in zip(ring.basis, ring.N):
+        for b, coefficients in zip(ring.basis, row):
+            prod = _fmt_element(ring, FusionElement(coefficients))
+            print(f"{a} * {b} = {prod}", file=out)
     return 0
 
 

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .coxgraph import INF, CoxeterGraph, GraphError, InvariantError, braid_letters
-from .fusion import (
-    FusionElement,
-    FusionRing,
-    coxeter_fusion_ring,
-    edge_object,
-    multiply,
-)
+from .fusion import FusionRing, coxeter_fusion_ring, edge_object
 from .lattice import mat_mul, simple_reflection_matrix
 
 Vertex = tuple[str, str]
@@ -47,6 +41,11 @@ class UnfoldedGraph:
     @cached_property
     def _index(self) -> dict[Vertex, int]:
         return {v: k for k, v in enumerate(self.vertices)}
+
+    @cached_property
+    def bonds(self) -> dict[tuple[int, int], int]:
+        """Bond multiplicity of each edge, keyed by (i, j) and by (j, i)."""
+        return {p: m for i, j, m in self.edges for p in ((i, j), (j, i))}
 
     @property
     def rank(self) -> int:
@@ -91,11 +90,9 @@ def unfold(g: CoxeterGraph) -> UnfoldedGraph:
             for e in range(ring.rank):
                 edges.append((i * ring.rank + e, j * ring.rank + e, 2))
             continue
-        obj = edge_object(g, (i, j, m))
-        adj = [
-            multiply(ring, obj, FusionElement.simple(ring, f)).coefficients
-            for f in range(ring.rank)
-        ]
+        # the edge object is one simple Pi_k, so Pi_k * Pi_f is the row
+        # N[k][f] and N[k] is the whole adjacency between the two fibers
+        adj = ring.N[edge_object(g, (i, j, m)).coefficients.index(1)]
         # TLJ products are multiplicity-free and symmetric; both facts
         # are what lets an edge upstairs stand for a coefficient
         edge = f"{g.vertices[i]}-{g.vertices[j]}"

@@ -2,11 +2,13 @@
 
 The basis consists of a constant path e_v and a loop X_v for each
 vertex plus a pair of opposite arrows (u|v)_a, (v|u)_a per multiplicity
-unit of each edge.  Multiplication concatenates paths, kills anything
-of total degree three or more, and caps an arrow against its own
-reverse to the loop at the source: (u|v)_a (v|u)_b = delta_ab X_u.  All
-cap coefficients are +1; any other choice of unit rescaling gives an
-isomorphic algebra.
+unit of each edge, in that order: e's, X's, then arrows sorted by
+(source, target, index).  Multiplication concatenates paths, kills
+anything of total degree three or more, and caps an arrow against its
+own reverse to the loop at the source: (u|v)_a (v|u)_b = delta_ab X_u.
+All cap coefficients are +1; any other choice of unit rescaling gives
+an isomorphic algebra.  So the product table is written straight from
+this definition, one entry per nonzero product of basis paths.
 
 Maps between shifted projectives P_u<k> -> P_v<k'> are linear
 combinations of paths from u to v of degree k - k', acting by right
@@ -75,47 +77,31 @@ class HomElement:
     combo: Combo
 
 
-def _product(index: dict[tuple, int], bi: tuple, bj: tuple) -> Combo:
-    ti = bi[2] if bi[0] == "arrow" else bi[1]
-    if ti != bj[1]:
-        return ()
-    if _DEGREE[bi[0]] + _DEGREE[bj[0]] >= 3:
-        return ()
-    if bi[0] == "e":
-        return ((index[bj], ONE),)
-    if bj[0] == "e":
-        return ((index[bi], ONE),)
-    # two arrows with matching ends: cap iff they are mutual reverses
-    if bi[1] == bj[2] and bi[3] == bj[3]:
-        return ((index[("X", bi[1])], ONE),)
-    return ()
-
-
 def build_zigzag(u: UnfoldedGraph) -> ZigzagAlgebra:
+    """The algebra with its product table written from the definition.
+
+    Basis order: every e_v, then every X_v, then the arrows sorted by
+    (source, target, index).  The nonzero products of basis paths are
+    exactly e_s b = b and b e_t = b for a path b from s to t, and an
+    arrow times its reverse, which is X at the arrow's source.
+    """
     n = len(u.vertices)
-    arrows = []
-    for i, j, m in u.edges:
-        for a in range(m):
-            arrows.append(("arrow", i, j, a))
-            arrows.append(("arrow", j, i, a))
-    arrows.sort(key=lambda b: (b[1], b[2], b[3]))
+    arrows = sorted(
+        (s, t, a) for i, j, m in u.edges for s, t in ((i, j), (j, i)) for a in range(m)
+    )
     basis = tuple(
         [("e", v) for v in range(n)]
         + [("X", v) for v in range(n)]
-        + arrows
+        + [("arrow", *arrow) for arrow in arrows]
     )
-    index = {b: k for k, b in enumerate(basis)}
-    # a product is nonzero only when the second path starts where the
-    # first ends, so pair each path with the paths leaving its target
-    starting: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
-    for j, bj in enumerate(basis):
-        starting[bj[1]].append((j, bj))
     mult: dict[tuple[int, int], Combo] = {}
-    for i, bi in enumerate(basis):
-        for j, bj in starting[bi[2] if bi[0] == "arrow" else bi[1]]:
-            out = _product(index, bi, bj)
-            if out:
-                mult[i, j] = out
+    for v in range(n):
+        mult[v, v] = ((v, ONE),)
+        mult[v, n + v] = mult[n + v, v] = ((n + v, ONE),)
+    position = {arrow: 2 * n + k for k, arrow in enumerate(arrows)}
+    for (s, t, a), k in position.items():
+        mult[s, k] = mult[k, t] = ((k, ONE),)
+        mult[k, position[t, s, a]] = ((n + s, ONE),)
     return ZigzagAlgebra(u, basis, mult)
 
 
@@ -171,21 +157,16 @@ def frobenius_comult(A: ZigzagAlgebra, v) -> dict[int, tuple[tuple[int, int], ..
     """
     v = _vertex_index(A, v)
     idx = A._basis_index
+    bonds = A.quiver.bonds
     rows: dict[int, tuple[tuple[int, int], ...]] = {}
-    neighbor_mult = {}
-    for i, j, m in A.quiver.edges:
-        if i == v:
-            neighbor_mult[j] = m
-        elif j == v:
-            neighbor_mult[i] = m
     for t in range(len(A.quiver.vertices)):
         if t == v:
             e, x = idx[("e", v)], idx[("X", v)]
             rows[t] = ((e, x), (x, e))
-        elif t in neighbor_mult:
+        elif (t, v) in bonds:
             rows[t] = tuple(
                 (idx[("arrow", t, v, a)], idx[("arrow", v, t, a)])
-                for a in range(neighbor_mult[t])
+                for a in range(bonds[t, v])
             )
         else:
             rows[t] = ()
@@ -206,7 +187,5 @@ def path_label(A: ZigzagAlgebra, i: int) -> str:
     if b[0] == "X":
         return f"X_{vname(b[1])}"
     _, u, v, a = b
-    pair = (u, v) if u < v else (v, u)
-    m = next(m for i2, j2, m in A.quiver.edges if (i2, j2) == pair)
-    suffix = f"_{a}" if m > 1 else ""
+    suffix = f"_{a}" if A.quiver.bonds[u, v] > 1 else ""
     return f"({vname(u)}|{vname(v)}){suffix}"

@@ -7,6 +7,7 @@ Fibonacci fusion table from test_fusion.  Every command is also run
 twice to enforce the byte-identical determinism contract.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -229,6 +230,61 @@ def test_zigzag_info_unfolded_labels(gpath):
     assert res.exit_code == 0
     assert "vertices: 6\n" in res.stdout
     assert "e_(t,Pi1)" in res.stdout and "e_(s,Pi1)" in res.stdout
+
+
+# ----------------------------------------------------- golden stdout digests
+
+GOLDEN_GRAPHS = {
+    **CORPUS_JSON,
+    "l579": graph_json("abcd", [("a", "b", 5), ("b", "c", 7), ("c", "d", 9)]),
+    "h3": graph_json("abc", [("a", "b", 5), ("b", "c", 3)]),
+}
+
+GOLDEN_ARGV = {
+    "fusion-table": ["fusion-table"],
+    "unfold": ["unfold", "--emit-folding"],
+    "zigzag-info": ["zigzag-info"],
+}
+
+# SHA-256 of the full stdout; any byte change in these three commands,
+# including the large l579 tables, fails here
+GOLDEN_SHA256 = {
+    ("a2", "fusion-table"): "c72196643ad4d1c5de3b47cf007239e57e2fd0a71c75e4b3eaa1b9e39db7ea37",
+    ("a2", "unfold"): "cfc85dca0f212fabea80fc0e95b8fac603d70e84287da57e14df9a9c77c78537",
+    ("a2", "zigzag-info"): "47a5e635cb338defc2fb00ca7213296bfd6b9baad99e801629a8b4cea42c29da",
+    ("a3", "fusion-table"): "c72196643ad4d1c5de3b47cf007239e57e2fd0a71c75e4b3eaa1b9e39db7ea37",
+    ("a3", "unfold"): "94a880a469ba6f547367ec6307ab72752da9eea9e74fcf2a891843f9efb822db",
+    ("a3", "zigzag-info"): "9430ed1e27714614f4265280a0417b3ecfd38558111156d2493bc233f09daa40",
+    ("chain45", "fusion-table"): "c7f18b8e2cbed143be8b31a3cb3e4ac68086ef1d8a94e360cc197e1e45848405",
+    ("chain45", "unfold"): "e8b5a66a61906a8cac3163e58da79b7a4c7cc9a3a5c75f4fe627a630d5b2f8f5",
+    ("chain45", "zigzag-info"): "1f2187920573ab7a8eccfbe39d3517253413e75b30116f3a670ff08bfb6cf259",
+    ("g2_affine", "fusion-table"): "ae3c715cdc29b9fba94efc8e504e843e4873b510a30bd796d70bb75280f70505",
+    ("g2_affine", "unfold"): "c4ca5ebf9862e19def866016bbcc6aa79ccbd37151320968ce2352050c7c0785",
+    ("g2_affine", "zigzag-info"): "468bcdd9c3140d094e95f58d8dab8e21e192265da410d97a2e2994a9e8b9c1bd",
+    ("h3", "fusion-table"): "67abf6925852b79e5e32b917da0a99370c78eb6896445de098ed95739ddca8a2",
+    ("h3", "unfold"): "f1b7a628e93217d9d14e9375793776079983ef082918eadcd6024f4a3bebd7f5",
+    ("h3", "zigzag-info"): "ebc6bb63a97e0d194b8dd142e7d2af70d66bde32f59b71a7fb946952a28a6851",
+    ("i2_4", "fusion-table"): "2899c158bb06f4f2dfde70df1a47e23907a1246d2b64149deabd8c16d2b48d86",
+    ("i2_4", "unfold"): "382f62bdd9eeb90cf1d43966ecedfac2b95f8dc70f504d600b3700edb8c449a5",
+    ("i2_4", "zigzag-info"): "905af8331e90884378713fffeb305452a9d838438be52cd34791a05f76b41b39",
+    ("i2_5", "fusion-table"): "f4d4c9f63ed92f615aec2b56aff46e5cdd9fa86447c92b4d9accb6560e0cde15",
+    ("i2_5", "unfold"): "b1be9afb3b9d5984ad7b95af07fa4b4fa6d0458111354dd826db543380c6af32",
+    ("i2_5", "zigzag-info"): "94d1469c43c55d03afa84ae8cb213579fbfc2c32854eb00dfb544a7a0e713403",
+    ("l579", "fusion-table"): "671835614801e57c53a453909f131df2e1506a52147eb303f729818ddd656fe2",
+    ("l579", "unfold"): "e0d880b091c71b554b07f2c83502f9ea8296e0e7056e6aad163459895f39bd96",
+    ("l579", "zigzag-info"): "f2352f6056b1beea0870fa7cf19cad6d19022f80348b0c2c0c657ed722bc3262",
+    ("rank2_inf", "fusion-table"): "c72196643ad4d1c5de3b47cf007239e57e2fd0a71c75e4b3eaa1b9e39db7ea37",
+    ("rank2_inf", "unfold"): "0b4d36b754702c5de54682b4b99e4aca73e0e0ebc9af19e69e85d9cd3a4d7560",
+    ("rank2_inf", "zigzag-info"): "01530a8209550685984abc84fc781edb2225ce1cf0998e64f523f4b34181b97d",
+}
+
+
+@pytest.mark.parametrize("graph, command", sorted(GOLDEN_SHA256))
+def test_graph_structure_stdout_digest(gpath, graph, command):
+    res = run(GOLDEN_ARGV[command] + [gpath(graph, GOLDEN_GRAPHS[graph])])
+    assert res.exit_code == 0
+    digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+    assert digest == GOLDEN_SHA256[graph, command]
 
 
 # ------------------------------------------------------------------- burau

@@ -5,6 +5,7 @@ TLJ fusion rows and cross-checked against the component shapes
 (E7-affine plus D6-affine, and the 4-cycle with infinity whiskers).
 """
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -21,7 +22,7 @@ from coxtwist.coxgraph import (
     is_finite_type,
     parse_graph,
 )
-from coxtwist.fusion import FusionElement, coxeter_fusion_ring, multiply
+from coxtwist.fusion import coxeter_fusion_ring
 from coxtwist.lattice import coxeter_word_matrix, mat_mul, simple_reflection_matrix
 from coxtwist.unfolding import fiber, lcm_translate, psi_matrix, unfold
 
@@ -290,36 +291,69 @@ def test_finite_type_preserved_by_unfolding(name):
     assert is_finite_type(g) == is_finite_type(unfold(g).as_coxeter_graph())
 
 
-def doubled_multiply(ring, a, b):
-    return FusionElement(tuple(2 * c for c in multiply(ring, a, b).coefficients))
+# Rings whose edge rows break one invariant each, patched in where unfold
+# looks the ring up.  The a2 ring has rank one; the i2_5 ring is
+# (Pi0, Pi2), and the object of its 5-edge is Pi2.
 
 
-def test_unfold_rejects_an_edge_object_with_multiplicity(monkeypatch, tmp_path):
-    monkeypatch.setattr(unfolding, "multiply", doubled_multiply)
-    with pytest.raises(InvariantError):
-        unfold(parse_graph(CORPUS_JSON["a2"]))
-    path = tmp_path / "a2.json"
-    path.write_text(CORPUS_JSON["a2"])
+def doubled_ring(g):
+    # every structure constant doubled: each edge row has a 2 in it
+    ring = coxeter_fusion_ring(g)
+    N = tuple(tuple(tuple(2 * c for c in row) for row in plane) for plane in ring.N)
+    return dataclasses.replace(ring, N=N)
+
+
+def skewed_ring(g):
+    # Pi2 * Pi0 loses its Pi2 term: still multiplicity-free, but the
+    # row N[Pi2] is no longer symmetric
+    ring = coxeter_fusion_ring(g)
+    return dataclasses.replace(ring, N=(ring.N[0], ((0, 0), ring.N[1][1])))
+
+
+def check_unfold_rejects(monkeypatch, tmp_path, ring, graph, message):
+    monkeypatch.setattr(unfolding, "coxeter_fusion_ring", ring)
+    with pytest.raises(InvariantError, match=message):
+        unfold(parse_graph(CORPUS_JSON[graph]))
+    path = tmp_path / f"{graph}.json"
+    path.write_text(CORPUS_JSON[graph])
     assert run(["unfold", str(path)]).exit_code == 2
 
 
-def test_unfold_check_survives_optimized_interpreter():
+def test_unfold_rejects_an_edge_object_with_multiplicity(monkeypatch, tmp_path):
+    check_unfold_rejects(
+        monkeypatch, tmp_path, doubled_ring, "a2", "not multiplicity-free"
+    )
+
+
+def test_unfold_rejects_an_asymmetric_edge_row(monkeypatch, tmp_path):
+    check_unfold_rejects(monkeypatch, tmp_path, skewed_ring, "i2_5", "not symmetric")
+
+
+def check_survives_optimized_interpreter(ring, graph):
     import coxtwist
 
     src = os.path.dirname(os.path.dirname(coxtwist.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
     script = (
         "from coxtwist import InvariantError, parse_graph, unfolding\n"
-        "from coxtwist.fusion import FusionElement, multiply\n"
-        "unfolding.multiply = lambda r, a, b: FusionElement(\n"
-        "    tuple(2 * c for c in multiply(r, a, b).coefficients))\n"
+        f"from test_unfolding import {ring.__name__}\n"
+        f"unfolding.coxeter_fusion_ring = {ring.__name__}\n"
         "try:\n"
-        f"    unfolding.unfold(parse_graph({CORPUS_JSON['a2']!r}))\n"
+        f"    unfolding.unfold(parse_graph({CORPUS_JSON[graph]!r}))\n"
         "except InvariantError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])}
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_unfold_check_survives_optimized_interpreter():
+    check_survives_optimized_interpreter(doubled_ring, "a2")
+
+
+def test_unfold_symmetry_check_survives_optimized_interpreter():
+    check_survives_optimized_interpreter(skewed_ring, "i2_5")

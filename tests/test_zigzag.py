@@ -8,13 +8,13 @@ so the two routes cross-check each other.
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
 from coxtwist.coxgraph import INF, GraphError, parse_graph
 from coxtwist.fusion import FusionElement, coxeter_fusion_ring, edge_object, multiply
-from coxtwist.unfolding import unfold
+from coxtwist.unfolding import UnfoldedGraph, unfold
 from coxtwist.zigzag import (
     HomElement,
-    _product,
     build_zigzag,
     compose,
     frobenius_comult,
@@ -24,6 +24,7 @@ from coxtwist.zigzag import (
 )
 
 from conftest import CORPUS_JSON, graph_json
+from test_coxgraph import random_graphs
 
 ONE = Fraction(1)
 
@@ -388,25 +389,103 @@ def algebras():
     return out
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS_JSON) + ["chain579"])
-def test_paths_out_matches_basis_scan(algebras, name):
-    A = algebras[name]
+# References for the structures that unfold and build_zigzag write
+# directly: the adjacency by multiplying the edge object with every
+# simple, and the product table by testing every pair of basis paths.
+
+
+def ref_unfold(g):
+    ring = coxeter_fusion_ring(g)
+    vertices = tuple((s, label) for s in g.vertices for label in ring.basis)
+    edges = []
+    r = ring.rank
+    for i, j, m in g.edges:
+        if m == INF:
+            edges += [(i * r + e, j * r + e, 2) for e in range(r)]
+            continue
+        obj = edge_object(g, (i, j, m))
+        for f in range(r):
+            row = multiply(ring, obj, FusionElement.simple(ring, f)).coefficients
+            edges += [(i * r + e, j * r + f, 1) for e, c in enumerate(row) if c]
+    return UnfoldedGraph(g, ring, vertices, tuple(sorted(edges)))
+
+
+REF_DEGREE = {"e": 0, "X": 2, "arrow": 1}
+
+
+def ref_product(index, bi, bj):
+    ti = bi[2] if bi[0] == "arrow" else bi[1]
+    if ti != bj[1]:
+        return ()
+    if REF_DEGREE[bi[0]] + REF_DEGREE[bj[0]] >= 3:
+        return ()
+    if bi[0] == "e":
+        return ((index[bj], ONE),)
+    if bj[0] == "e":
+        return ((index[bi], ONE),)
+    # two arrows with matching ends: cap iff they are mutual reverses
+    if bi[1] == bj[2] and bi[3] == bj[3]:
+        return ((index[("X", bi[1])], ONE),)
+    return ()
+
+
+def all_pairs_table(A):
+    index = {b: k for k, b in enumerate(A.basis)}
+    full = {}
+    for i, bi in enumerate(A.basis):
+        for j, bj in enumerate(A.basis):
+            out = ref_product(index, bi, bj)
+            if out:
+                full[i, j] = out
+    return full
+
+
+def basis_scan(A):
     scan = [{} for _ in A.quiver.vertices]
     for b in range(A.dim):
         scan[A.source(b)].setdefault(A.target(b), []).append(b)
+    return scan
+
+
+def ref_arrow_suffix(A, i):
+    # multiplicity of the arrow's edge by a scan of the quiver's edges
+    _, u, v, a = A.basis[i]
+    m = next(m for i2, j2, m in A.quiver.edges if {i2, j2} == {u, v})
+    return f"_{a}" if m > 1 else ""
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_JSON) + ["chain579"])
+def test_paths_out_matches_basis_scan(algebras, name):
+    A = algebras[name]
     assert [
         {t: list(ps) for t, ps in row.items()} for row in A.paths_out
-    ] == scan
+    ] == basis_scan(A)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_JSON) + ["chain579"])
 def test_local_product_table_matches_all_pairs(algebras, name):
     A = algebras[name]
-    index = A._basis_index
-    full = {}
-    for i, bi in enumerate(A.basis):
-        for j, bj in enumerate(A.basis):
-            out = _product(index, bi, bj)
-            if out:
-                full[i, j] = out
-    assert A.mult == full
+    assert A.mult == all_pairs_table(A)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_JSON) + ["chain579"])
+def test_unfold_matches_multiply_reference(algebras, name):
+    u = algebras[name].quiver
+    assert u == ref_unfold(u.base)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=random_graphs())
+def test_direct_structures_match_references_on_random_graphs(data):
+    g = parse_graph(graph_json(*data))
+    assume(coxeter_fusion_ring(g).rank <= 24)
+    u = unfold(g)
+    assert u == ref_unfold(g)
+    A = build_zigzag(u)
+    assert A.mult == all_pairs_table(A)
+    assert [{t: list(ps) for t, ps in row.items()} for row in A.paths_out] == (
+        basis_scan(A)
+    )
+    for i, b in enumerate(A.basis):
+        if b[0] == "arrow":
+            assert path_label(A, i).endswith(")" + ref_arrow_suffix(A, i))
