@@ -416,9 +416,8 @@ def _cmd_act(args, out) -> int:
         print(f"deg {i}: {summands}", file=out)
     for i in sorted(result.diffs):
         for r, row in enumerate(result.diffs[i]):
-            for c2, entry in enumerate(row):
-                if entry:
-                    print(f"d[{i}][{r}->{c2}] = {_fmt_combo(A, entry)}", file=out)
+            for c2 in sorted(row):
+                print(f"d[{i}][{r}->{c2}] = {_fmt_combo(A, row[c2])}", file=out)
     return 0
 
 

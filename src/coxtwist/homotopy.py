@@ -1,15 +1,22 @@
 """Bounded complexes of graded projectives and the spherical twist action.
 
 A complex keeps, per cohomological degree, an ordered tuple of summands
-(v, k) standing for P_v<k>, together with differential matrices whose
-entries are path combinations acting by right multiplication.  All
-coefficients are Fractions.  make_complex validates every complex it
-builds, before and after elimination: each entry must be a homogeneous
-path combination between the summands it connects, and d . d = 0 is
-checked by a sparse pass over the nonzero entries only.  A failed check
+(v, k) standing for P_v<k>, together with its differential in sparse
+rows: diffs[i][r] is a map {c: Combo} from the index c of a
+degree-(i+1) summand to the nonzero component from the r-th degree-i
+summand, and a zero component is absent.  Components are path
+combinations acting by right multiplication, with Fraction
+coefficients.  make_complex also accepts dense rows, one entry per
+column, and stores them sparsely.  It validates every complex it
+builds, before and after elimination: the rows match the summands,
+each stored entry is a nonzero homogeneous path combination between
+the summands it connects, and d . d = 0.  Building, checking,
+eliminating and printing walk the nonzero entries only.  A failed check
 raises InvariantError, which python -O does not strip.  A complex is
 minimal when no entry contains an idempotent; gaussian_eliminate
-reaches that form.  Construction sorts the summands of each degree by
+reaches that form from a worklist of pivots, as in Bar-Natan's local
+elimination (arXiv:math/0606318), and returns an already minimal
+complex as it is.  Construction sorts the summands of each degree by
 (vertex, shift), so two equal minimal complexes compare equal as plain
 values.
 
@@ -18,7 +25,8 @@ the twist is the cone of the counit, the inverse twist that of the
 unit, and the two differ only in the degree and shift of the new
 summands and in which map joins them to the old ones.  A twist whose
 cone is empty, because no summand has a path from the twisting vertex,
-returns its input without rebuilding it.
+returns its input without rebuilding it, through gaussian_eliminate
+unless elimination is off.
 
 The word problems (is_identity_word, recognize_shift, words_equal) start
 from one projective per base vertex, P_(s,1) on the unit of the fusion
@@ -31,6 +39,7 @@ to every projective.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,15 +57,16 @@ from .zigzag import (
 
 @dataclass(frozen=True)
 class Complex:
-    """terms: degree -> summands (v, k); diffs: degree -> entry matrix.
+    """terms: degree -> summands (v, k); diffs: degree -> sparse rows.
 
-    diffs[i][r][c] is the component from the r-th degree-i summand to
-    the c-th degree-(i+1) summand; the key i is present exactly when
-    both degrees are.
+    diffs[i][r] is the row of the r-th degree-i summand, a map
+    {c: Combo} from the index c of a degree-(i+1) summand to the nonzero
+    component between the two; a zero component is absent.  The key i
+    is present exactly when both degrees are.
     """
 
     terms: dict[int, tuple[tuple[int, int], ...]]
-    diffs: dict[int, tuple[tuple[Combo, ...], ...]]
+    diffs: dict[int, tuple[dict[int, Combo], ...]]
 
 
 def _add_combo(x: Combo, y: Combo) -> Combo:
@@ -73,18 +83,33 @@ def _scale_combo(x: Combo, a: Fraction) -> Combo:
 def _normalize_entry(entry) -> Combo:
     acc: dict[int, Fraction] = {}
     for b, co in entry:
-        acc[b] = acc.get(b, 0) + Fraction(co)
+        co = co if type(co) is Fraction else Fraction(co)
+        acc[b] = acc[b] + co if b in acc else co
     return tuple(sorted((b, co) for b, co in acc.items() if co))
 
 
+def _row_entries(row):
+    """(column, entry) pairs of a sparse row {column: entry} or a dense
+    row with one entry per column."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
+
+
 def _check_complex(A: ZigzagAlgebra, c: Complex) -> None:
-    # entries are homogeneous paths between the summands they connect
+    # every row is there, every stored entry is a nonzero homogeneous
+    # path combination between the summands it connects
     for i, mat in c.diffs.items():
-        rows, cols = c.terms[i], c.terms[i + 1]
-        if len(mat) != len(rows) or any(len(row) != len(cols) for row in mat):
+        rows, cols = c.terms.get(i, ()), c.terms.get(i + 1, ())
+        if not rows or not cols or len(mat) != len(rows):
             raise InvariantError(f"differential at degree {i} has the wrong shape")
         for (u, k), row in zip(rows, mat):
-            for (v, k2), entry in zip(cols, row):
+            for cc, entry in row.items():
+                if not 0 <= cc < len(cols):
+                    raise InvariantError(
+                        f"differential at degree {i} has no column {cc!r}"
+                    )
+                if not entry:
+                    raise InvariantError(f"zero entry stored at degree {i}")
+                v, k2 = cols[cc]
                 for b, co in entry:
                     if not (
                         co
@@ -96,19 +121,16 @@ def _check_complex(A: ZigzagAlgebra, c: Complex) -> None:
                             f"entry at degree {i} is not a degree-{k - k2} "
                             f"path combination from vertex {u} to {v}"
                         )
-    # d.d = 0, accumulated per (row, column, basis path) over nonzero entries
+    # d.d = 0, accumulated per (row, column, basis path)
     mult = A.mult
     for i, mat in c.diffs.items():
         nxt = c.diffs.get(i + 1)
         if nxt is None:
             continue
-        nonzero = [[(cc, y) for cc, y in enumerate(row) if y] for row in nxt]
         for row in mat:
             acc: dict[tuple[int, int], Fraction] = {}
-            for m, x in enumerate(row):
-                if not x:
-                    continue
-                for cc, y in nonzero[m]:
+            for m, x in row.items():
+                for cc, y in nxt[m].items():
                     for bi, ci in x:
                         for bj, cj in y:
                             for bk, ck in mult.get((bi, bj), ()):
@@ -119,15 +141,20 @@ def _check_complex(A: ZigzagAlgebra, c: Complex) -> None:
 
 
 def make_complex(A: ZigzagAlgebra, terms, diffs) -> Complex:
-    """Build a validated complex from summand lists and entry matrices.
+    """Build a validated complex from summand lists and differential rows.
 
-    Empty degrees are dropped, each degree's summands are stably sorted
-    by (vertex, shift) with the matching permutation applied to the
-    matrices, and coefficients are coerced to Fraction.
+    diffs[i] holds one row per degree-i summand, sparse as a map
+    {column: entry} or dense as a sequence of one entry per
+    degree-(i+1) summand; an entry is a sequence of (basis index,
+    coefficient) pairs.  Empty degrees are dropped, each degree's
+    summands are stably sorted by (vertex, shift) with the matching
+    permutation applied to rows and columns, coefficients are coerced
+    to Fraction, and zero entries are dropped: the result's rows are
+    sparse, {column: Combo} with zeros absent.
     """
     kept = {i: tuple(ss) for i, ss in terms.items() if ss}
     order = {
-        i: sorted(range(len(ss)), key=lambda r: ss[r]) for i, ss in kept.items()
+        i: sorted(range(len(ss)), key=ss.__getitem__) for i, ss in kept.items()
     }
     out_terms = {
         i: tuple((int(ss[r][0]), int(ss[r][1])) for r in order[i])
@@ -138,27 +165,38 @@ def make_complex(A: ZigzagAlgebra, terms, diffs) -> Complex:
         if i + 1 not in out_terms:
             continue
         raw = diffs.get(i, ())
-        if raw:
-            if len(raw) != len(kept[i]) or any(
-                len(row) != len(kept[i + 1]) for row in raw
-            ):
+        if not raw:
+            out_diffs[i] = tuple({} for _ in kept[i])
+            continue
+        ncols = len(kept[i + 1])
+        if len(raw) != len(kept[i]):
+            raise InvariantError(
+                f"differential at degree {i} does not match its summands"
+            )
+        # column index in the input -> column index in the sorted output
+        position = {cc: n for n, cc in enumerate(order[i + 1])}
+        mat = []
+        for r in order[i]:
+            row = raw[r]
+            if not isinstance(row, dict) and len(row) != ncols:
                 raise InvariantError(
                     f"differential at degree {i} does not match its summands"
                 )
-            mat = tuple(
-                tuple(
-                    _normalize_entry(raw[r][cc]) if raw[r][cc] else ()
-                    for cc in order[i + 1]
-                )
-                for r in order[i]
-            )
-        else:
-            mat = tuple(((),) * len(kept[i + 1]) for _ in kept[i])
-        out_diffs[i] = mat
+            out = {}
+            for cc, entry in _row_entries(row):
+                if cc not in position:
+                    raise InvariantError(
+                        f"differential at degree {i} has no column {cc!r}"
+                    )
+                combo = _normalize_entry(entry)
+                if combo:
+                    out[position[cc]] = combo
+            mat.append(out)
+        out_diffs[i] = tuple(mat)
     for i, raw in diffs.items():
         if i not in out_diffs:
-            # a matrix between dropped or missing degrees must be zero
-            if any(entry for row in raw for entry in row):
+            # rows between dropped or missing degrees must be zero
+            if any(entry for row in raw for _, entry in _row_entries(row)):
                 raise InvariantError(
                     f"nonzero differential at degree {i} has no summands to connect"
                 )
@@ -176,75 +214,95 @@ def projective_complex(A: ZigzagAlgebra, v, k: int = 0, i: int = 0) -> Complex:
 def gaussian_eliminate(A: ZigzagAlgebra, c: Complex, rng=None) -> Complex:
     """Minimal form: strike out idempotent entries one at a time.
 
-    Pivots are taken lowest degree first, then row-major; pass an rng to
-    pick pivots at random instead (the summand multiset must not care).
+    A worklist holds the entries that contain an idempotent, keyed by
+    (degree, row, column) in c's numbering, an order that deletions do
+    not change.  Pivots are popped lowest key first, that is lowest
+    degree first and then row-major.  Striking out pivot (r, c0)
+    rewrites only the entries (r2, c2) with r2 in column c0 and c2 in
+    row r, and those that then contain an idempotent are pushed.  Pass
+    an rng to pop pivots at random instead (the summand multiset must
+    not care).  A complex without an idempotent entry is already
+    minimal and is returned as it is.
     """
-    terms = {i: list(ss) for i, ss in c.terms.items()}
-    diffs = {i: [list(row) for row in mat] for i, mat in c.diffs.items()}
+    # entries are homogeneous, so one that contains an idempotent is a
+    # degree-0 multiple of it, and its first path tells
+    basis = A.basis
+    work = [
+        (i, r, cc)
+        for i, mat in c.diffs.items()
+        for r, row in enumerate(mat)
+        for cc, entry in row.items()
+        if basis[entry[0][0]][0] == "e"
+    ]
+    if not work:
+        return c
+    heapq.heapify(work)
+    # live rows by original index, and per column the rows that reach it
+    rows = {i: dict(enumerate(dict(row) for row in mat)) for i, mat in c.diffs.items()}
+    cols: dict[int, dict[int, set[int]]] = {}
+    for i, mat in rows.items():
+        cols[i] = {}
+        for r, row in mat.items():
+            for cc in row:
+                cols[i].setdefault(cc, set()).add(r)
+    gone = {i: set() for i in c.terms}
 
-    def pivots(i: int, first_only: bool):
-        found = []
-        for r, row in enumerate(diffs[i]):
-            for cc, entry in enumerate(row):
-                if any(A.basis[b][0] == "e" for b, _ in entry):
-                    found.append((i, r, cc))
-                    if first_only:
-                        return found
-        return found
-
-    def eliminate(i: int, r: int, c0: int) -> None:
-        mat = diffs[i]
-        # an entry containing an idempotent is exactly one e-term
-        ((_, a),) = mat[r][c0]
+    while work:
+        if rng is None:
+            i, r, c0 = heapq.heappop(work)
+        else:
+            i, r, c0 = work.pop(rng.randrange(len(work)))
+        mat, col = rows[i], cols[i]
+        pivot = mat.get(r, {}).get(c0)
+        if not pivot or basis[pivot[0][0]][0] != "e":
+            continue  # struck out or rewritten since it was pushed
+        ((_, a),) = pivot
         inv = -1 / a
-        hot = [c2 for c2 in range(len(mat[r])) if c2 != c0 and mat[r][c2]]
-        for r2 in range(len(mat)):
-            if r2 == r or not mat[r2][c0]:
-                continue
-            left = mat[r2][c0]
-            for c2 in hot:
-                corr = _scale_combo(multiply_combo(A, left, mat[r][c2]), inv)
-                mat[r2][c2] = _add_combo(mat[r2][c2], corr)
-        del terms[i][r]
-        del terms[i + 1][c0]
-        del mat[r]
-        for row in mat:
-            del row[c0]
-        if i - 1 in diffs:
-            for row in diffs[i - 1]:
-                del row[r]
-        if i + 1 in diffs:
-            del diffs[i + 1][c0]
+        top = mat.pop(r)
+        del top[c0]
+        for c2 in top:
+            col[c2].discard(r)
+        col[c0].discard(r)
+        for r2 in col.pop(c0):
+            row = mat[r2]
+            left = row.pop(c0)
+            for c2, right in top.items():
+                corr = _scale_combo(multiply_combo(A, left, right), inv)
+                if not corr:
+                    continue
+                entry = _add_combo(row.get(c2, ()), corr)
+                if entry:
+                    row[c2] = entry
+                    col[c2].add(r2)
+                    if basis[entry[0][0]][0] == "e":
+                        heapq.heappush(work, (i, r2, c2))
+                elif c2 in row:
+                    del row[c2]
+                    col[c2].discard(r2)
+        # the summands r at degree i and c0 at degree i + 1 leave, and
+        # with them a column of the differential below and a row above
+        if i - 1 in rows:
+            for r1 in cols[i - 1].pop(r, ()):
+                del rows[i - 1][r1][r]
+        if i + 1 in rows:
+            for c3 in rows[i + 1].pop(c0):
+                cols[i + 1][c3].discard(c0)
+        gone[i].add(r)
+        gone[i + 1].add(c0)
 
-    if rng is None:
-        for i in sorted(diffs):
-            while True:
-                found = pivots(i, True)
-                if not found:
-                    break
-                eliminate(*found[0])
-    else:
-        while True:
-            found = [p for i in sorted(diffs) for p in pivots(i, False)]
-            if not found:
-                break
-            eliminate(*rng.choice(found))
-
+    left_in = {
+        i: [r for r in range(len(ss)) if r not in gone[i]] for i, ss in c.terms.items()
+    }
+    renumber = {i: {r: n for n, r in enumerate(rs)} for i, rs in left_in.items()}
+    terms = {i: [c.terms[i][r] for r in rs] for i, rs in left_in.items()}
+    diffs = {
+        i: [
+            {renumber[i + 1][cc]: entry for cc, entry in mat[r].items()}
+            for r in left_in[i]
+        ]
+        for i, mat in rows.items()
+    }
     return make_complex(A, terms, diffs)
-
-
-def _unchanged(A: ZigzagAlgebra, c: Complex, eliminate: bool) -> Complex:
-    """The twist of c when its cone is empty: c itself, reduced to
-    minimal form first if asked to and not already minimal."""
-    if eliminate and any(
-        A.basis[b][0] == "e"
-        for mat in c.diffs.values()
-        for row in mat
-        for entry in row
-        for b, _ in entry
-    ):
-        return gaussian_eliminate(A, c)
-    return c
 
 
 def _cone(A: ZigzagAlgebra, v, c: Complex, eliminate: bool, side: int) -> Complex:
@@ -255,11 +313,13 @@ def _cone(A: ZigzagAlgebra, v, c: Complex, eliminate: bool, side: int) -> Comple
     The twist maps it onto that summand by the counit, right
     multiplication by p.  The inverse twist shifts it by <-2> and maps
     the summand onto it by the unit, the comultiplication partner of p.
+    Between the new summands sits -e_v times the coefficient of p2 in
+    p . delta, for each nonzero entry delta of c's differential.
     """
     v = _vertex_index(A, v)
     paths = A.paths_out[v]
     if not any(u in paths for summands in c.terms.values() for u, _ in summands):
-        return _unchanged(A, c, eliminate)
+        return gaussian_eliminate(A, c) if eliminate else c
     e_v = A._basis_index[("e", v)]
     shift = -2 if side > 0 else 0
     # partner[y] = x over the comultiplication terms x (x) y at v
@@ -289,30 +349,32 @@ def _cone(A: ZigzagAlgebra, v, c: Complex, eliminate: bool, side: int) -> Comple
     for i in terms:
         if i + 1 not in terms:
             continue
-        old_cols = c.terms.get(i + 1, ())
+        n_old = len(c.terms.get(i + 1, ()))
         oldmat = c.diffs.get(i)
         dmat = c.diffs.get(i - side)
-        new_cols = cone.get(i + 1, ())
+        # over[r2]: the (column, path) of each new summand at degree
+        # i + 1 that sits over row r2 of c.terms[i + 1 - side]
+        over: dict[int, list[tuple[int, int]]] = {}
+        for n, (r2, p2) in enumerate(cone.get(i + 1, ())):
+            over.setdefault(r2, []).append((n_old + n, p2))
         mat = []
         for r in range(len(c.terms.get(i, ()))):
-            row = [oldmat[r][cc] if oldmat else () for cc in range(len(old_cols))]
-            # unit component (inverse twist): row r to the summands over it
-            row.extend(
-                ((partner[p2], ONE),) if side > 0 and r2 == r else ()
-                for r2, p2 in new_cols
-            )
+            row = dict(oldmat[r]) if oldmat else {}
+            if side > 0:
+                # unit component (inverse twist): row r to the summands over it
+                for cc, p2 in over.get(r, ()):
+                    row[cc] = ((partner[p2], ONE),)
             mat.append(row)
         for r, p in cone.get(i, ()):
             # counit component (twist): right multiplication by the path
-            row = [
-                ((p, ONE),) if side < 0 and cc == r else ()
-                for cc in range(len(old_cols))
-            ]
-            for r2, p2 in new_cols:
-                delta = dmat[r][r2] if dmat else ()
-                prod = multiply_combo(A, ((p, ONE),), delta)
-                co = next((co for b, co in prod if b == p2), None)
-                row.append(((e_v, -co),) if co else ())
+            row = {r: ((p, ONE),)} if side < 0 else {}
+            for r2, delta in dmat[r].items() if dmat else ():
+                targets = over.get(r2)
+                if targets:
+                    prod = dict(multiply_combo(A, ((p, ONE),), delta))
+                    for cc, p2 in targets:
+                        if p2 in prod:
+                            row[cc] = ((e_v, -prod[p2]),)
             mat.append(row)
         diffs[i] = mat
     out = make_complex(A, terms, diffs)

@@ -1,6 +1,7 @@
 """Oracles for complexes, Gaussian elimination, and the twist action."""
 
 import functools
+import hashlib
 import os
 import random
 import subprocess
@@ -11,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxtwist import homotopy
+from coxtwist import cli, homotopy
 from coxtwist.coxgraph import INF, GraphError, InvariantError, braid_letters, parse_graph
 from coxtwist.fusion import coxeter_fusion_ring
 from coxtwist.homotopy import (
     Complex,
-    _unchanged,
+    _add_combo,
+    _check_complex,
+    _scale_combo,
     apply_braid_word,
     complex_class,
     dual_twist,
@@ -60,7 +63,7 @@ def is_minimal(A, c):
         not any(A.basis[b][0] == "e" for b, _ in entry)
         for mat in c.diffs.values()
         for row in mat
-        for entry in row
+        for entry in row.values()
     )
 
 
@@ -123,7 +126,7 @@ def test_eliminate_keeps_minimal_complex():
         {-1: ((0, 1),), 0: ((1, 0),)},
         {-1: ((((a01, ONE),),),)},
     )
-    assert gaussian_eliminate(A, c) == c
+    assert gaussian_eliminate(A, c) is c
 
 
 def test_twist_of_own_projective():
@@ -399,8 +402,68 @@ def test_check_rejects_inhomogeneous_entry():
 
 def test_check_rejects_misshapen_matrix():
     _, _, A = setup("a2")
-    with pytest.raises(InvariantError):
-        make_complex(A, {0: ((0, 0),), 1: ((1, 0),)}, {0: ((), ())})
+    ts = A.basis.index(("arrow", 1, 0, 0))
+    terms = {0: ((1, 1),), 1: ((0, 0),)}
+    # two rows for one summand, a short dense row, sparse keys out of range
+    for rows in (((), ()), ((),), ({1: ((ts, ONE),)},), ({-1: ((ts, ONE),)},)):
+        with pytest.raises(InvariantError):
+            make_complex(A, terms, {0: rows})
+
+
+def broken_sparse_rows(A):
+    """Complexes assembled by hand, past make_complex's normalization,
+    each breaking one invariant of the sparse rows."""
+    st_ = A.basis.index(("arrow", 0, 1, 0))
+    ts = A.basis.index(("arrow", 1, 0, 0))
+    line = {0: ((0, 1),), 1: ((1, 0),)}
+    square = {0: ((0, 2),), 1: ((1, 1), (1, 1)), 2: ((0, 0),)}
+    return {
+        "row count": Complex(line, {0: ({}, {})}),
+        "column key": Complex(line, {0: ({1: ((st_, ONE),)},)}),
+        "stored zero": Complex(line, {0: ({0: ()},)}),
+        "inhomogeneous": Complex(
+            {0: ((0, 0),), 1: ((1, 0),)}, {0: ({0: ((st_, ONE),)},)}
+        ),
+        # the composite X_s runs through the second middle summand only
+        "d.d": Complex(square, {0: ({1: ((st_, ONE),)},), 1: ({}, {0: ((ts, ONE),)})}),
+        # the same shape with the two composites cancelling is a complex
+        None: Complex(
+            square,
+            {
+                0: ({0: ((st_, ONE),), 1: ((st_, ONE),)},),
+                1: ({0: ((ts, ONE),)}, {0: ((ts, -ONE),)}),
+            },
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["row count", "column key", "stored zero", "inhomogeneous", "d.d", None])
+def test_check_rejects_broken_sparse_rows(case):
+    _, _, A = setup("a2")
+    c = broken_sparse_rows(A)[case]
+    if case is None:
+        _check_complex(A, c)
+    else:
+        with pytest.raises(InvariantError):
+            _check_complex(A, c)
+
+
+def test_dense_and_sparse_rows_build_the_same_complex():
+    _, _, A = setup("a2")
+    e0 = A.basis.index(("e", 0))
+    ts = A.basis.index(("arrow", 1, 0, 0))
+    # degree 0 is listed unsorted, so rows are permuted; int coefficients
+    # are coerced, repeated paths merged, and cancelling entries dropped
+    terms = {0: ((1, 1), (0, 0)), 1: ((0, 0), (1, 0))}
+    dense = make_complex(
+        A, terms, {0: [[((ts, 1),), ((ts, 1), (ts, -1))], [((e0, 1), (e0, 1)), ()]]}
+    )
+    sparse = make_complex(
+        A, terms, {0: ({0: ((ts, ONE),)}, {0: ((e0, Fraction(2)),)})}
+    )
+    assert dense == sparse
+    assert sparse.terms == {0: ((0, 0), (1, 1)), 1: ((0, 0), (1, 0))}
+    assert sparse.diffs == {0: ({0: ((e0, Fraction(2)),)}, {0: ((ts, ONE),)})}
 
 
 def test_check_survives_optimized_interpreter():
@@ -418,8 +481,15 @@ def test_check_survives_optimized_interpreter():
         "    make_complex(A, {0: ((0, 2),), 1: ((1, 1),), 2: ((0, 0),)},\n"
         "                 {0: ((((st, one),),),), 1: ((((ts, one),),),)})\n"
         "except InvariantError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit(1)\n"
+        "from coxtwist.homotopy import Complex, _check_complex\n"
+        "try:\n"
+        "    _check_complex(A, Complex({0: ((0, 1),), 1: ((1, 0),)}, {0: ({0: ()},)}))\n"
+        "except InvariantError:\n"
         "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
+        "raise SystemExit(2)\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
@@ -495,7 +565,7 @@ def ref_twist(A, v, c, eliminate=True):
     v = _vertex_index(A, v)
     paths = A.paths_out[v]
     if not any(u in paths for summands in c.terms.values() for u, _ in summands):
-        return _unchanged(A, c, eliminate)
+        return gaussian_eliminate(A, c) if eliminate else c
     e_v = A._basis_index[("e", v)]
     cone = {}
     for i, summands in c.terms.items():
@@ -521,13 +591,13 @@ def ref_twist(A, v, c, eliminate=True):
         dmat = c.diffs.get(i + 1)
         mat = []
         for r in range(len(c.terms.get(i, ()))):
-            row = [oldmat[r][cc] if oldmat else () for cc in range(len(old_cols))]
+            row = [oldmat[r].get(cc, ()) if oldmat else () for cc in range(len(old_cols))]
             row.extend(() for _ in cone.get(i + 1, ()))
             mat.append(row)
         for r, p in cone.get(i, ()):
             row = [((p, ONE),) if cc == r else () for cc in range(len(old_cols))]
             for r2, p2 in cone.get(i + 1, ()):
-                delta = dmat[r][r2] if dmat else ()
+                delta = dmat[r].get(r2, ()) if dmat else ()
                 prod = multiply_combo(A, ((p, ONE),), delta)
                 co = next((co for b, co in prod if b == p2), None)
                 row.append(((e_v, -co),) if co else ())
@@ -541,7 +611,7 @@ def ref_dual_twist(A, v, c, eliminate=True):
     v = _vertex_index(A, v)
     paths = A.paths_out[v]
     if not any(u in paths for summands in c.terms.values() for u, _ in summands):
-        return _unchanged(A, c, eliminate)
+        return gaussian_eliminate(A, c) if eliminate else c
     e_v = A._basis_index[("e", v)]
     partner = {
         y: x for pairs in frobenius_comult(A, v).values() for x, y in pairs
@@ -571,14 +641,14 @@ def ref_dual_twist(A, v, c, eliminate=True):
         prevmat = c.diffs.get(i - 1)
         mat = []
         for r in range(len(c.terms.get(i, ()))):
-            row = [oldmat[r][cc] if oldmat else () for cc in range(len(old_cols))]
+            row = [oldmat[r].get(cc, ()) if oldmat else () for cc in range(len(old_cols))]
             for r2, y2 in cone.get(i + 1, ()):
                 row.append(((partner[y2], ONE),) if r2 == r else ())
             mat.append(row)
         for r, y in cone.get(i, ()):
             row = [() for _ in range(len(old_cols))]
             for r2, y2 in cone.get(i + 1, ()):
-                delta = prevmat[r][r2] if prevmat else ()
+                delta = prevmat[r].get(r2, ()) if prevmat else ()
                 prod = multiply_combo(A, ((y, ONE),), delta)
                 co = next((co for b, co in prod if b == y2), None)
                 row.append(((e_v, -co),) if co else ())
@@ -801,3 +871,165 @@ def test_identity_sweep_starts_once_per_base_vertex(monkeypatch):
     # each start is built twice: once to act on, once to compare with
     assert sorted(starts) == sorted(2 * [u.index((s, unit)) for s in g.vertices])
     assert len(starts) == 2 * g.rank < len(u.vertices)
+
+
+# Dense Gaussian elimination and the dense cone, kept as the reference
+# for the sparse ones: they work on full matrices, with () for a zero
+# entry, and meet the sparse rows of Complex only at the boundary.
+def dense_rows(c):
+    return {
+        i: [[row.get(cc, ()) for cc in range(len(c.terms[i + 1]))] for row in mat]
+        for i, mat in c.diffs.items()
+    }
+
+
+def dense_eliminate(A, c):
+    """Pivots lowest degree first, then row-major, rescanning the
+    degree from its first row after every pivot."""
+    terms = {i: list(ss) for i, ss in c.terms.items()}
+    diffs = dense_rows(c)
+
+    def first_pivot(i):
+        for r, row in enumerate(diffs[i]):
+            for cc, entry in enumerate(row):
+                if any(A.basis[b][0] == "e" for b, _ in entry):
+                    return r, cc
+        return None
+
+    for i in sorted(diffs):
+        while (found := first_pivot(i)) is not None:
+            r, c0 = found
+            mat = diffs[i]
+            ((_, a),) = mat[r][c0]
+            inv = -1 / a
+            hot = [c2 for c2 in range(len(mat[r])) if c2 != c0 and mat[r][c2]]
+            for r2 in range(len(mat)):
+                if r2 == r or not mat[r2][c0]:
+                    continue
+                left = mat[r2][c0]
+                for c2 in hot:
+                    corr = _scale_combo(multiply_combo(A, left, mat[r][c2]), inv)
+                    mat[r2][c2] = _add_combo(mat[r2][c2], corr)
+            del terms[i][r]
+            del terms[i + 1][c0]
+            del mat[r]
+            for row in mat:
+                del row[c0]
+            if i - 1 in diffs:
+                for row in diffs[i - 1]:
+                    del row[r]
+            if i + 1 in diffs:
+                del diffs[i + 1][c0]
+    return make_complex(A, terms, diffs)
+
+
+def dense_cone(A, v, c, eliminate, side):
+    """The shared cone, with a multiply_combo per pair of new summands."""
+    v = _vertex_index(A, v)
+    paths = A.paths_out[v]
+    if not any(u in paths for summands in c.terms.values() for u, _ in summands):
+        return dense_eliminate(A, c) if eliminate else c
+    e_v = A._basis_index[("e", v)]
+    shift = -2 if side > 0 else 0
+    partner = (
+        {y: x for pairs in frobenius_comult(A, v).values() for x, y in pairs}
+        if side > 0
+        else {}
+    )
+    cone = {}
+    for i, summands in c.terms.items():
+        added = [
+            (r, p)
+            for r, (u, _) in enumerate(summands)
+            for p in paths.get(u, ())
+        ]
+        if added:
+            cone[i + side] = added
+    terms = {}
+    for i in set(c.terms) | set(cone):
+        extra = tuple(
+            (v, c.terms[i - side][r][1] + shift + A.degree(p))
+            for r, p in cone.get(i, ())
+        )
+        terms[i] = c.terms.get(i, ()) + extra
+    old = dense_rows(c)
+    diffs = {}
+    for i in terms:
+        if i + 1 not in terms:
+            continue
+        old_cols = c.terms.get(i + 1, ())
+        oldmat = old.get(i)
+        dmat = old.get(i - side)
+        new_cols = cone.get(i + 1, ())
+        mat = []
+        for r in range(len(c.terms.get(i, ()))):
+            row = [oldmat[r][cc] if oldmat else () for cc in range(len(old_cols))]
+            row.extend(
+                ((partner[p2], ONE),) if side > 0 and r2 == r else ()
+                for r2, p2 in new_cols
+            )
+            mat.append(row)
+        for r, p in cone.get(i, ()):
+            row = [
+                ((p, ONE),) if side < 0 and cc == r else ()
+                for cc in range(len(old_cols))
+            ]
+            for r2, p2 in new_cols:
+                delta = dmat[r][r2] if dmat else ()
+                prod = multiply_combo(A, ((p, ONE),), delta)
+                co = next((co for b, co in prod if b == p2), None)
+                row.append(((e_v, -co),) if co else ())
+            mat.append(row)
+        diffs[i] = mat
+    out = make_complex(A, terms, diffs)
+    return dense_eliminate(A, out) if eliminate else out
+
+
+@st.composite
+def twist_cases(draw):
+    name = draw(st.sampled_from(sorted(SWEEP_GRAPHS)))
+    g, u, _ = sweep_setup(name)
+    letter = st.tuples(st.sampled_from(g.vertices), st.sampled_from((1, -1)))
+    word = tuple(draw(st.lists(letter, max_size=MAX_LETTERS.get(name, 3))))
+    return name, word, draw(st.integers(0, len(u.vertices) - 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=twist_cases())
+def test_sparse_twists_equal_the_dense_references(case):
+    # equal as values: same summands in the same order, same entries
+    name, word, start = case
+    _, u, A = sweep_setup(name)
+    c = apply_braid_word(A, u, word, projective_complex(A, start))
+    for v in range(len(u.vertices)):
+        for eliminate in (False, True):
+            assert twist(A, v, c, eliminate) == dense_cone(A, v, c, eliminate, -1)
+            assert dual_twist(A, v, c, eliminate) == dense_cone(A, v, c, eliminate, 1)
+
+
+def test_large_act_is_pinned(tmp_path, monkeypatch):
+    # (s^2 t^-2)^3 on P_s over rank2_inf: 1597 summands, as many as the
+    # l1 norm of the Burau column allows, built with few path products
+    path = tmp_path / "rank2_inf.json"
+    path.write_text(CORPUS_JSON["rank2_inf"])
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return multiply_combo(*args)
+
+    monkeypatch.setattr(homotopy, "multiply_combo", spy)
+    res = cli.run(["act", str(path), " ".join(["s s t^-1 t^-1"] * 3), "--on", "s"])
+    assert res.exit_code == 0
+    assert len(res.stdout.encode()) == 51520
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+        "0f92f243f001fdf034ff325124caf5350367421d571ea8c841cb542b94619132"
+    )
+    summands = sum(
+        len(line.split(" + ")) for line in res.stdout.splitlines() if line.startswith("deg ")
+    )
+    g = parse_graph(CORPUS_JSON["rank2_inf"])
+    letters = (("s", 1), ("s", 1), ("t", -1), ("t", -1)) * 3
+    column = burau_column(burau_word(g, coxeter_fusion_ring(g), letters), g.index("s"))
+    assert summands == sum(abs(co) for poly in column for _, co in poly) == 1597
+    assert len(calls) <= 6000
