@@ -5,20 +5,21 @@ A complex keeps, per cohomological degree, an ordered tuple of summands
 rows: diffs[i][r] is a map {c: Combo} from the index c of a
 degree-(i+1) summand to the nonzero component from the r-th degree-i
 summand, and a zero component is absent.  Components are path
-combinations acting by right multiplication, with Fraction
-coefficients.  make_complex also accepts dense rows, one entry per
-column, and stores them sparsely.  It validates every complex it
-builds, before and after elimination: the rows match the summands,
-each stored entry is a nonzero homogeneous path combination between
-the summands it connects, and d . d = 0.  Building, checking,
-eliminating and printing walk the nonzero entries only.  A failed check
-raises InvariantError, which python -O does not strip.  A complex is
-minimal when no entry contains an idempotent; gaussian_eliminate
-reaches that form from a worklist of pivots, as in Bar-Natan's local
-elimination (arXiv:math/0606318), and returns an already minimal
-complex as it is.  Construction sorts the summands of each degree by
-(vertex, shift), so two equal minimal complexes compare equal as plain
-values.
+combinations acting by right multiplication, with int coefficients:
+make_complex takes an int, a bool or an integral Fraction and raises on
+any other coefficient, such as 1.0 or Fraction(1, 2).  It also accepts
+dense rows, one entry per column, and stores them sparsely.  It
+validates every complex it builds, before and after elimination: the
+rows match the summands, each stored entry is a nonzero homogeneous
+path combination between the summands it connects, and d . d = 0.
+Building, checking, eliminating and printing walk the nonzero entries
+only.  A failed check raises InvariantError, which python -O does not
+strip.  A complex is minimal when no entry contains an idempotent;
+gaussian_eliminate reaches that form from a worklist of +-1 pivots,
+as in Bar-Natan's local elimination (arXiv:math/0606318), and returns
+an already minimal complex as it is.  Construction sorts the summands
+of each degree by (vertex, shift), so two equal minimal complexes
+compare equal as plain values.
 
 The twist and the inverse twist share one cone construction, `_cone`:
 the twist is the cone of the counit, the inverse twist that of the
@@ -41,14 +42,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .coxgraph import InvariantError, braid_letters
 from .unfolding import UnfoldedGraph, fiber
 from .zigzag import (
-    ONE,
     Combo,
     ZigzagAlgebra,
+    _add_combo,
+    _normalize_entry,
     _vertex_index,
     frobenius_comult,
     multiply_combo,
@@ -67,25 +68,6 @@ class Complex:
 
     terms: dict[int, tuple[tuple[int, int], ...]]
     diffs: dict[int, tuple[dict[int, Combo], ...]]
-
-
-def _add_combo(x: Combo, y: Combo) -> Combo:
-    acc = dict(x)
-    for b, co in y:
-        acc[b] = acc.get(b, 0) + co
-    return tuple(sorted((b, co) for b, co in acc.items() if co))
-
-
-def _scale_combo(x: Combo, a: Fraction) -> Combo:
-    return tuple((b, co * a) for b, co in x) if a else ()
-
-
-def _normalize_entry(entry) -> Combo:
-    acc: dict[int, Fraction] = {}
-    for b, co in entry:
-        co = co if type(co) is Fraction else Fraction(co)
-        acc[b] = acc[b] + co if b in acc else co
-    return tuple(sorted((b, co) for b, co in acc.items() if co))
 
 
 def _row_entries(row):
@@ -128,7 +110,7 @@ def _check_complex(A: ZigzagAlgebra, c: Complex) -> None:
         if nxt is None:
             continue
         for row in mat:
-            acc: dict[tuple[int, int], Fraction] = {}
+            acc: dict[tuple[int, int], int] = {}
             for m, x in row.items():
                 for cc, y in nxt[m].items():
                     for bi, ci in x:
@@ -148,9 +130,10 @@ def make_complex(A: ZigzagAlgebra, terms, diffs) -> Complex:
     degree-(i+1) summand; an entry is a sequence of (basis index,
     coefficient) pairs.  Empty degrees are dropped, each degree's
     summands are stably sorted by (vertex, shift) with the matching
-    permutation applied to rows and columns, coefficients are coerced
-    to Fraction, and zero entries are dropped: the result's rows are
-    sparse, {column: Combo} with zeros absent.
+    permutation applied to rows and columns, and zero entries are
+    dropped: the result's rows are sparse, {column: Combo} with zeros
+    absent.  A coefficient may be an int, a bool or an integral
+    Fraction, stored as int; 1.0 or Fraction(1, 2) raises.
     """
     kept = {i: tuple(ss) for i, ss in terms.items() if ss}
     order = {
@@ -169,7 +152,9 @@ def make_complex(A: ZigzagAlgebra, terms, diffs) -> Complex:
             out_diffs[i] = tuple({} for _ in kept[i])
             continue
         ncols = len(kept[i + 1])
-        if len(raw) != len(kept[i]):
+        if len(raw) != len(kept[i]) or any(
+            not isinstance(row, dict) and len(row) != ncols for row in raw
+        ):
             raise InvariantError(
                 f"differential at degree {i} does not match its summands"
             )
@@ -177,13 +162,8 @@ def make_complex(A: ZigzagAlgebra, terms, diffs) -> Complex:
         position = {cc: n for n, cc in enumerate(order[i + 1])}
         mat = []
         for r in order[i]:
-            row = raw[r]
-            if not isinstance(row, dict) and len(row) != ncols:
-                raise InvariantError(
-                    f"differential at degree {i} does not match its summands"
-                )
             out = {}
-            for cc, entry in _row_entries(row):
+            for cc, entry in _row_entries(raw[r]):
                 if cc not in position:
                     raise InvariantError(
                         f"differential at degree {i} has no column {cc!r}"
@@ -222,7 +202,8 @@ def gaussian_eliminate(A: ZigzagAlgebra, c: Complex, rng=None) -> Complex:
     row r, and those that then contain an idempotent are pushed.  Pass
     an rng to pop pivots at random instead (the summand multiset must
     not care).  A complex without an idempotent entry is already
-    minimal and is returned as it is.
+    minimal and is returned as it is.  Over the integers only a pivot
+    of +-1 can be struck out; any other raises InvariantError.
     """
     # entries are homogeneous, so one that contains an idempotent is a
     # degree-0 multiple of it, and its first path tells
@@ -257,7 +238,8 @@ def gaussian_eliminate(A: ZigzagAlgebra, c: Complex, rng=None) -> Complex:
         if not pivot or basis[pivot[0][0]][0] != "e":
             continue  # struck out or rewritten since it was pushed
         ((_, a),) = pivot
-        inv = -1 / a
+        if a not in (1, -1):
+            raise InvariantError(f"pivot {a} at degree {i} is not a unit")
         top = mat.pop(r)
         del top[c0]
         for c2 in top:
@@ -267,10 +249,10 @@ def gaussian_eliminate(A: ZigzagAlgebra, c: Complex, rng=None) -> Complex:
             row = mat[r2]
             left = row.pop(c0)
             for c2, right in top.items():
-                corr = _scale_combo(multiply_combo(A, left, right), inv)
+                corr = multiply_combo(A, left, right)
                 if not corr:
                     continue
-                entry = _add_combo(row.get(c2, ()), corr)
+                entry = _add_combo(row.get(c2, ()), corr, -a)  # 1/a = a
                 if entry:
                     row[c2] = entry
                     col[c2].add(r2)
@@ -363,15 +345,15 @@ def _cone(A: ZigzagAlgebra, v, c: Complex, eliminate: bool, side: int) -> Comple
             if side > 0:
                 # unit component (inverse twist): row r to the summands over it
                 for cc, p2 in over.get(r, ()):
-                    row[cc] = ((partner[p2], ONE),)
+                    row[cc] = ((partner[p2], 1),)
             mat.append(row)
         for r, p in cone.get(i, ()):
             # counit component (twist): right multiplication by the path
-            row = {r: ((p, ONE),)} if side < 0 else {}
+            row = {r: ((p, 1),)} if side < 0 else {}
             for r2, delta in dmat[r].items() if dmat else ():
                 targets = over.get(r2)
                 if targets:
-                    prod = dict(multiply_combo(A, ((p, ONE),), delta))
+                    prod = dict(multiply_combo(A, ((p, 1),), delta))
                     for cc, p2 in targets:
                         if p2 in prod:
                             row[cc] = ((e_v, -prod[p2]),)

@@ -1,4 +1,4 @@
-"""The zigzag algebra of an unfolded graph, over exact rationals.
+"""The zigzag algebra of an unfolded graph, over the integers.
 
 The basis consists of a constant path e_v and a loop X_v for each
 vertex plus a pair of opposite arrows (u|v)_a, (v|u)_a per multiplicity
@@ -12,22 +12,19 @@ this definition, one entry per nonzero product of basis paths.
 
 Maps between shifted projectives P_u<k> -> P_v<k'> are linear
 combinations of paths from u to v of degree k - k', acting by right
-multiplication.
+multiplication; all arithmetic on these combinations lives here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .coxgraph import GraphError
+from .coxgraph import GraphError, InvariantError
 from .unfolding import UnfoldedGraph
 
-# (basis index, coefficient) pairs, sorted by index, zeros dropped
-Combo = tuple[tuple[int, Fraction], ...]
-
-ONE = Fraction(1)
+# (basis index, int coefficient) pairs, sorted by index, zeros dropped
+Combo = tuple[tuple[int, int], ...]
 
 _DEGREE = {"e": 0, "X": 2, "arrow": 1}
 
@@ -96,12 +93,12 @@ def build_zigzag(u: UnfoldedGraph) -> ZigzagAlgebra:
     )
     mult: dict[tuple[int, int], Combo] = {}
     for v in range(n):
-        mult[v, v] = ((v, ONE),)
-        mult[v, n + v] = mult[n + v, v] = ((n + v, ONE),)
+        mult[v, v] = ((v, 1),)
+        mult[v, n + v] = mult[n + v, v] = ((n + v, 1),)
     position = {arrow: 2 * n + k for k, arrow in enumerate(arrows)}
     for (s, t, a), k in position.items():
-        mult[s, k] = mult[k, t] = ((k, ONE),)
-        mult[k, position[t, s, a]] = ((n + s, ONE),)
+        mult[s, k] = mult[k, t] = ((k, 1),)
+        mult[k, position[t, s, a]] = ((n + s, 1),)
     return ZigzagAlgebra(u, basis, mult)
 
 
@@ -118,12 +115,32 @@ def multiply_basis(A: ZigzagAlgebra, i: int, j: int) -> Combo:
 
 
 def multiply_combo(A: ZigzagAlgebra, x: Combo, y: Combo) -> Combo:
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int] = {}
     for i, ci in x:
         for j, cj in y:
             for k, ck in A.mult.get((i, j), ()):
                 acc[k] = acc.get(k, 0) + ci * cj * ck
     return tuple(sorted((k, c) for k, c in acc.items() if c))
+
+
+def _add_combo(x: Combo, y: Combo, a: int = 1) -> Combo:
+    """x + a.y, zeros dropped."""
+    acc = dict(x)
+    for b, co in y:
+        acc[b] = acc.get(b, 0) + a * co
+    return tuple(sorted((b, co) for b, co in acc.items() if co))
+
+
+def _normalize_entry(entry) -> Combo:
+    """(basis index, coefficient) pairs as a Combo, with int coefficients."""
+    acc: dict[int, int] = {}
+    for b, co in entry:
+        if type(co) is not int:
+            if getattr(co, "denominator", None) != 1:
+                raise InvariantError(f"coefficient {co!r} is not an integer")
+            co = int(co)
+        acc[b] = acc[b] + co if b in acc else co
+    return tuple(sorted((b, co) for b, co in acc.items() if co))
 
 
 def hom_basis(A: ZigzagAlgebra, src, tgt) -> list[HomElement]:
@@ -132,7 +149,7 @@ def hom_basis(A: ZigzagAlgebra, src, tgt) -> list[HomElement]:
     u, v = _vertex_index(A, u), _vertex_index(A, v)
     d = k - k2
     return [
-        HomElement((u, k), (v, k2), ((i, ONE),))
+        HomElement((u, k), (v, k2), ((i, 1),))
         for i in A.paths_out[u].get(v, ())
         if A.degree(i) == d
     ]

@@ -17,9 +17,7 @@ from coxtwist.coxgraph import INF, GraphError, InvariantError, braid_letters, pa
 from coxtwist.fusion import coxeter_fusion_ring
 from coxtwist.homotopy import (
     Complex,
-    _add_combo,
     _check_complex,
-    _scale_combo,
     apply_braid_word,
     complex_class,
     dual_twist,
@@ -33,7 +31,13 @@ from coxtwist.homotopy import (
 )
 from coxtwist.lattice import burau_column, burau_word
 from coxtwist.unfolding import fiber, lcm_translate, unfold
-from coxtwist.zigzag import _vertex_index, build_zigzag, frobenius_comult, multiply_combo
+from coxtwist.zigzag import (
+    _add_combo,
+    _vertex_index,
+    build_zigzag,
+    frobenius_comult,
+    multiply_combo,
+)
 
 from conftest import CORPUS_JSON, graph_json
 
@@ -64,6 +68,16 @@ def is_minimal(A, c):
         for mat in c.diffs.values()
         for row in mat
         for entry in row.values()
+    )
+
+
+def has_int_coefficients(c):
+    return all(
+        type(co) is int
+        for mat in c.diffs.values()
+        for row in mat
+        for entry in row.values()
+        for _, co in entry
     )
 
 
@@ -116,6 +130,15 @@ def test_eliminate_cone_of_identity_plus_loop():
     )
     out = gaussian_eliminate(A, c)
     assert out == make_complex(A, {-1: ((0, 2),)}, {})
+
+
+def test_eliminate_refuses_a_non_unit_pivot():
+    # over the integers 2.e_0 is not invertible, so it cannot be struck out
+    _, _, A = setup("a2")
+    e0 = A.basis.index(("e", 0))
+    c = make_complex(A, {0: ((0, 0),), 1: ((0, 0),)}, {0: ({0: ((e0, 2),)},)})
+    with pytest.raises(InvariantError, match="not a unit"):
+        gaussian_eliminate(A, c)
 
 
 def test_eliminate_keeps_minimal_complex():
@@ -464,6 +487,15 @@ def test_dense_and_sparse_rows_build_the_same_complex():
     assert dense == sparse
     assert sparse.terms == {0: ((0, 0), (1, 1)), 1: ((0, 0), (1, 0))}
     assert sparse.diffs == {0: ({0: ((e0, Fraction(2)),)}, {0: ((ts, ONE),)})}
+    assert has_int_coefficients(sparse)
+
+
+@pytest.mark.parametrize("co", [Fraction(1, 2), 1.0])
+def test_make_complex_refuses_a_non_integral_coefficient(co):
+    _, _, A = setup("a2")
+    ts = A.basis.index(("arrow", 1, 0, 0))
+    with pytest.raises(InvariantError, match="not an integer"):
+        make_complex(A, {0: ((1, 1),), 1: ((0, 0),)}, {0: ({0: ((ts, co),)},)})
 
 
 def test_check_survives_optimized_interpreter():
@@ -836,9 +868,23 @@ def test_unit_fiber_sweep_matches_the_full_sweep(case):
     assert words_equal(A, u, word + other, other) == ref_is_identity(A, images)
 
 
-FULL_TWIST_GRAPHS = {**CORPUS_JSON, "i2_6": graph_json("st", [("s", "t", 6)])}
+FULL_TWIST_GRAPHS = {
+    **CORPUS_JSON,
+    "i2_6": graph_json("st", [("s", "t", 6)]),
+    "h3": graph_json("stu", [("s", "t", 5), ("t", "u", 3)]),
+    "b3": graph_json("stu", [("s", "t", 4), ("t", "u", 3)]),
+    "d4": graph_json("stuv", [("s", "t", 3), ("t", "u", 3), ("t", "v", 3)]),
+}
 
 
+# The shift of delta alone, where it is one: on H3 and D4, not on B3,
+# whose unfolding has a nontrivial diagram automorphism.
+HALF_TWIST_SHIFTS = {"h3": (9, 10), "d4": (5, 6)}
+
+
+# delta is a reduced word for the longest element; on H3, B3 and D4 it is
+# c^(h/2) for the Coxeter element c, as w0 = -1 there.  The full twist
+# delta^2 shifts by (2h - 2, 2h).
 @pytest.mark.parametrize(
     "name, delta, shift",
     [
@@ -847,12 +893,16 @@ FULL_TWIST_GRAPHS = {**CORPUS_JSON, "i2_6": graph_json("st", [("s", "t", 6)])}
         ("i2_4", alternating("s", "t", 4), (6, 8)),
         ("i2_5", alternating("s", "t", 5), (8, 10)),
         ("i2_6", alternating("s", "t", 6), (10, 12)),
+        ("h3", ("s", "t", "u") * 5, (18, 20)),
+        ("b3", ("s", "t", "u") * 3, (10, 12)),
+        ("d4", ("s", "t", "u", "v") * 3, (10, 12)),
     ],
 )
 def test_full_twist_is_a_shift(name, delta, shift):
     u = unfold(parse_graph(FULL_TWIST_GRAPHS[name]))
     A = build_zigzag(u)
-    for word, want in ((delta + delta, shift), (delta, None)):
+    half = HALF_TWIST_SHIFTS.get(name)
+    for word, want in ((delta + delta, shift), (delta, half)):
         assert recognize_shift(A, u, word) == ref_shift(full_sweep(A, u, word)) == want
     assert recognize_shift(A, u, delta + delta, pure=True) is None
 
@@ -901,15 +951,16 @@ def dense_eliminate(A, c):
             r, c0 = found
             mat = diffs[i]
             ((_, a),) = mat[r][c0]
-            inv = -1 / a
+            # exact over the rationals, whatever the pivot
+            inv = Fraction(-1, a)
             hot = [c2 for c2 in range(len(mat[r])) if c2 != c0 and mat[r][c2]]
             for r2 in range(len(mat)):
                 if r2 == r or not mat[r2][c0]:
                     continue
                 left = mat[r2][c0]
                 for c2 in hot:
-                    corr = _scale_combo(multiply_combo(A, left, mat[r][c2]), inv)
-                    mat[r2][c2] = _add_combo(mat[r2][c2], corr)
+                    corr = multiply_combo(A, left, mat[r][c2])
+                    mat[r2][c2] = _add_combo(mat[r2][c2], corr, inv)
             del terms[i][r]
             del terms[i + 1][c0]
             del mat[r]
@@ -1003,8 +1054,10 @@ def test_sparse_twists_equal_the_dense_references(case):
     c = apply_braid_word(A, u, word, projective_complex(A, start))
     for v in range(len(u.vertices)):
         for eliminate in (False, True):
-            assert twist(A, v, c, eliminate) == dense_cone(A, v, c, eliminate, -1)
-            assert dual_twist(A, v, c, eliminate) == dense_cone(A, v, c, eliminate, 1)
+            out, back = twist(A, v, c, eliminate), dual_twist(A, v, c, eliminate)
+            assert out == dense_cone(A, v, c, eliminate, -1)
+            assert back == dense_cone(A, v, c, eliminate, 1)
+            assert has_int_coefficients(out) and has_int_coefficients(back)
 
 
 def test_large_act_is_pinned(tmp_path, monkeypatch):

@@ -122,7 +122,7 @@ def test_path_rule_and_degrees(name):
                 assert out == ()
                 continue
             for k, c in out:
-                assert c == ONE
+                assert type(c) is int and c == 1
                 assert A.source(k) == si and A.target(k) == tj
                 assert A.degree(k) == di + dj
             # idempotents act as identities when the ends meet
