@@ -52,6 +52,10 @@ class CoxeterGraph:
     def _labels(self) -> dict[tuple[int, int], int | float]:
         return {(i, j): m for i, j, m in self.edges}
 
+    @cached_property
+    def _finite_labels(self) -> tuple[int, ...]:
+        return tuple(sorted({m for _, _, m in self.edges if m != INF}))
+
     @property
     def rank(self) -> int:
         return len(self.vertices)
@@ -75,7 +79,7 @@ class CoxeterGraph:
         return tuple(sorted(out))
 
     def finite_edge_labels(self) -> tuple[int, ...]:
-        return tuple(sorted({m for _, _, m in self.edges if m != INF}))
+        return self._finite_labels
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         seen: set[int] = set()

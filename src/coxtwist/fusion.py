@@ -185,26 +185,22 @@ def edge_object(g: CoxeterGraph, e) -> FusionElement:
     of vertex names or indices.
     """
     m = _edge_label(g, e)
-    ring = coxeter_fusion_ring(g)
-    if m == INF:
-        coeffs = [0] * ring.rank
-        coeffs[ring.unit_index] = 2
-        return FusionElement(tuple(coeffs))
     factors = g.finite_edge_labels()
-    target = []
-    for n in factors:
-        if n == m:
-            # position of Pi_{m-3} inside this factor's label list
-            target.append((m - 3) // 2 if n % 2 else m - 3)
-        else:
-            target.append(0)
-    sizes = [
-        (n - 1) if n % 2 == 0 else (n - 1) // 2 for n in factors
-    ]
+    # coxeter_fusion_ring(g) is the product of these factors, first
+    # factor slowest, and its unit Pi0*...*Pi0 comes first; reading the
+    # rank off the factors spares a ring lookup per call
+    sizes = [(n - 1) if n % 2 == 0 else (n - 1) // 2 for n in factors]
+    coeffs = [0] * math.prod(sizes)
+    if m == INF:
+        coeffs[0] = 2
+        return FusionElement(tuple(coeffs))
     flat = 0
-    for t, s in zip(target, sizes):
-        flat = flat * s + t
-    return FusionElement.simple(ring, flat)
+    for n, size in zip(factors, sizes):
+        # position of Pi_{m-3} inside the label-m factor, of Pi0 elsewhere
+        t = ((m - 3) // 2 if n % 2 else m - 3) if n == m else 0
+        flat = flat * size + t
+    coeffs[flat] = 1
+    return FusionElement(tuple(coeffs))
 
 
 def multiply(r: FusionRing, a: FusionElement, b: FusionElement) -> FusionElement:

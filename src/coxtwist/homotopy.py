@@ -5,21 +5,27 @@ A complex keeps, per cohomological degree, an ordered tuple of summands
 rows: diffs[i][r] is a map {c: Combo} from the index c of a
 degree-(i+1) summand to the nonzero component from the r-th degree-i
 summand, and a zero component is absent.  Components are path
-combinations acting by right multiplication, with int coefficients:
-make_complex takes an int, a bool or an integral Fraction and raises on
-any other coefficient, such as 1.0 or Fraction(1, 2).  It also accepts
-dense rows, one entry per column, and stores them sparsely.  It
-validates every complex it builds, before and after elimination: the
-rows match the summands, each stored entry is a nonzero homogeneous
-path combination between the summands it connects, and d . d = 0.
+combinations acting by right multiplication, with int coefficients.
+
+Complexes are normalized at the boundary and validated everywhere.
+make_complex is the one front door for rows that callers supply and
+the only place that normalizes them: it takes dense or sparse rows,
+stores an integral Fraction or a bool as an int and raises on any
+other coefficient, such as 1.0 or Fraction(1, 2), merges repeated
+paths, drops zeros and empty degrees, and stably sorts the summands of
+each degree by (vertex, shift), so two equal minimal complexes compare
+equal as plain values.  The twists and gaussian_eliminate build their
+results directly in that form.  Every complex, wherever it was built,
+passes the one validator, _check_complex: it checks that form, rows
+that match the summands, stored entries that are homogeneous path
+combinations between the summands they connect, and d . d = 0.  A
+twist checks its cone, and elimination checks its result again.
 Building, checking, eliminating and printing walk the nonzero entries
 only.  A failed check raises InvariantError, which python -O does not
 strip.  A complex is minimal when no entry contains an idempotent;
-gaussian_eliminate reaches that form from a worklist of +-1 pivots,
-as in Bar-Natan's local elimination (arXiv:math/0606318), and returns
-an already minimal complex as it is.  Construction sorts the summands
-of each degree by (vertex, shift), so two equal minimal complexes
-compare equal as plain values.
+gaussian_eliminate reaches that form from a worklist of +-1 pivots, as
+in Bar-Natan's local elimination (arXiv:math/0606318), and returns an
+already minimal complex as it is.
 
 The twist and the inverse twist share one cone construction, `_cone`:
 the twist is the cone of the counit, the inverse twist that of the
@@ -77,10 +83,27 @@ def _row_entries(row):
 
 
 def _check_complex(A: ZigzagAlgebra, c: Complex) -> None:
-    # every row is there, every stored entry is a nonzero homogeneous
-    # path combination between the summands it connects
+    """Validate a complex, wherever it was built.
+
+    make_complex normalizes what callers supply and the twists build
+    their results already normalized, so this one check holds every
+    complex to the same form: each degree holds summands sorted by
+    (vertex, shift); adjacent degrees have a row map and no other
+    degrees do; each row is {column: entry} with the column in range;
+    each stored entry is a nonzero combination of basis paths, with
+    strictly increasing indices and nonzero int coefficients, that is
+    homogeneous between the summands it connects; and d . d = 0.
+    Any failure raises InvariantError.
+    """
+    terms = c.terms
+    for i, summands in terms.items():
+        if not summands or list(summands) != sorted(summands):
+            raise InvariantError(f"summands at degree {i} are not sorted")
+        if i + 1 in terms and i not in c.diffs:
+            raise InvariantError(f"differential at degree {i} is missing")
+    sources, targets, degrees, dim = A.sources, A.targets, A.degrees, A.dim
     for i, mat in c.diffs.items():
-        rows, cols = c.terms.get(i, ()), c.terms.get(i + 1, ())
+        rows, cols = terms.get(i, ()), terms.get(i + 1, ())
         if not rows or not cols or len(mat) != len(rows):
             raise InvariantError(f"differential at degree {i} has the wrong shape")
         for (u, k), row in zip(rows, mat):
@@ -92,17 +115,20 @@ def _check_complex(A: ZigzagAlgebra, c: Complex) -> None:
                 if not entry:
                     raise InvariantError(f"zero entry stored at degree {i}")
                 v, k2 = cols[cc]
+                d = k - k2
+                last = -1
                 for b, co in entry:
-                    if not (
-                        co
-                        and A.source(b) == u
-                        and A.target(b) == v
-                        and A.degree(b) == k - k2
-                    ):
+                    if not (last < b < dim and type(co) is int and co):
                         raise InvariantError(
-                            f"entry at degree {i} is not a degree-{k - k2} "
+                            f"entry at degree {i} is not a sorted combination "
+                            "of basis paths with nonzero int coefficients"
+                        )
+                    if not (sources[b] == u and targets[b] == v and degrees[b] == d):
+                        raise InvariantError(
+                            f"entry at degree {i} is not a degree-{d} "
                             f"path combination from vertex {u} to {v}"
                         )
+                    last = b
     # d.d = 0, accumulated per (row, column, basis path)
     mult = A.mult
     for i, mat in c.diffs.items():
@@ -125,15 +151,19 @@ def _check_complex(A: ZigzagAlgebra, c: Complex) -> None:
 def make_complex(A: ZigzagAlgebra, terms, diffs) -> Complex:
     """Build a validated complex from summand lists and differential rows.
 
-    diffs[i] holds one row per degree-i summand, sparse as a map
-    {column: entry} or dense as a sequence of one entry per
-    degree-(i+1) summand; an entry is a sequence of (basis index,
-    coefficient) pairs.  Empty degrees are dropped, each degree's
+    The one front door for rows that callers supply, and the only place
+    that normalizes them.  diffs[i] holds one row per degree-i summand,
+    sparse as a map {column: entry} or dense as a sequence of one entry
+    per degree-(i+1) summand; an entry is a sequence of (basis index,
+    coefficient) pairs.  The shape is checked first, against the
+    summands as given.  Then empty degrees are dropped, each degree's
     summands are stably sorted by (vertex, shift) with the matching
-    permutation applied to rows and columns, and zero entries are
-    dropped: the result's rows are sparse, {column: Combo} with zeros
-    absent.  A coefficient may be an int, a bool or an integral
-    Fraction, stored as int; 1.0 or Fraction(1, 2) raises.
+    permutation applied to rows and columns, and each entry becomes a
+    Combo: repeated paths merged, sorted by index, zeros dropped, and
+    zero entries left out of the sparse rows.  A coefficient may be an
+    int, a bool or an integral Fraction, stored as int; 1.0 or
+    Fraction(1, 2) raises.  The result passes _check_complex, the
+    validator every complex passes.
     """
     kept = {i: tuple(ss) for i, ss in terms.items() if ss}
     order = {
@@ -204,6 +234,11 @@ def gaussian_eliminate(A: ZigzagAlgebra, c: Complex, rng=None) -> Complex:
     not care).  A complex without an idempotent entry is already
     minimal and is returned as it is.  Over the integers only a pivot
     of +-1 can be struck out; any other raises InvariantError.
+
+    c must be normalized, as every complex is.  The summands left keep
+    their order, and the rewritten entries are Combos, so the result is
+    built in its final form, with no second normalization, and passes
+    _check_complex.
     """
     # entries are homogeneous, so one that contains an idempotent is a
     # degree-0 multiple of it, and its first path tells
@@ -272,19 +307,24 @@ def gaussian_eliminate(A: ZigzagAlgebra, c: Complex, rng=None) -> Complex:
         gone[i].add(r)
         gone[i + 1].add(c0)
 
+    # the summands left keep their sorted order; empty degrees go, and
+    # with them the row maps that touch them
     left_in = {
         i: [r for r in range(len(ss)) if r not in gone[i]] for i, ss in c.terms.items()
     }
+    terms = {i: tuple(c.terms[i][r] for r in rs) for i, rs in left_in.items() if rs}
     renumber = {i: {r: n for n, r in enumerate(rs)} for i, rs in left_in.items()}
-    terms = {i: [c.terms[i][r] for r in rs] for i, rs in left_in.items()}
     diffs = {
-        i: [
+        i: tuple(
             {renumber[i + 1][cc]: entry for cc, entry in mat[r].items()}
             for r in left_in[i]
-        ]
+        )
         for i, mat in rows.items()
+        if i in terms and i + 1 in terms
     }
-    return make_complex(A, terms, diffs)
+    out = Complex(terms, diffs)
+    _check_complex(A, out)
+    return out
 
 
 def _cone(A: ZigzagAlgebra, v, c: Complex, eliminate: bool, side: int) -> Complex:
@@ -297,12 +337,15 @@ def _cone(A: ZigzagAlgebra, v, c: Complex, eliminate: bool, side: int) -> Comple
     the summand onto it by the unit, the comultiplication partner of p.
     Between the new summands sits -e_v times the coefficient of p2 in
     p . delta, for each nonzero entry delta of c's differential.
+    Every entry is already a Combo, so the cone is built straight in
+    make_complex's numbering and checked, not normalized again.
     """
     v = _vertex_index(A, v)
     paths = A.paths_out[v]
     if not any(u in paths for summands in c.terms.values() for u, _ in summands):
         return gaussian_eliminate(A, c) if eliminate else c
     e_v = A._basis_index[("e", v)]
+    degrees = A.degrees
     shift = -2 if side > 0 else 0
     # partner[y] = x over the comultiplication terms x (x) y at v
     partner = (
@@ -323,10 +366,19 @@ def _cone(A: ZigzagAlgebra, v, c: Complex, eliminate: bool, side: int) -> Comple
     terms = {}
     for i in set(c.terms) | set(cone):
         extra = tuple(
-            (v, c.terms[i - side][r][1] + shift + A.degree(p))
+            (v, c.terms[i - side][r][1] + shift + degrees[p])
             for r, p in cone.get(i, ())
         )
         terms[i] = c.terms.get(i, ()) + extra
+    # the result's numbering: each degree's summands stably sorted by
+    # (vertex, shift), so that equal minimal complexes compare equal;
+    # position[i][n] is the final index of the n-th summand listed above
+    order = {i: sorted(range(len(ss)), key=ss.__getitem__) for i, ss in terms.items()}
+    position = {}
+    for i, rs in order.items():
+        position[i] = pos = [0] * len(rs)
+        for n, r in enumerate(rs):
+            pos[r] = n
     diffs = {}
     for i in terms:
         if i + 1 not in terms:
@@ -334,14 +386,15 @@ def _cone(A: ZigzagAlgebra, v, c: Complex, eliminate: bool, side: int) -> Comple
         n_old = len(c.terms.get(i + 1, ()))
         oldmat = c.diffs.get(i)
         dmat = c.diffs.get(i - side)
+        to = position[i + 1]
         # over[r2]: the (column, path) of each new summand at degree
         # i + 1 that sits over row r2 of c.terms[i + 1 - side]
         over: dict[int, list[tuple[int, int]]] = {}
         for n, (r2, p2) in enumerate(cone.get(i + 1, ())):
-            over.setdefault(r2, []).append((n_old + n, p2))
+            over.setdefault(r2, []).append((to[n_old + n], p2))
         mat = []
         for r in range(len(c.terms.get(i, ()))):
-            row = dict(oldmat[r]) if oldmat else {}
+            row = {to[cc]: entry for cc, entry in oldmat[r].items()} if oldmat else {}
             if side > 0:
                 # unit component (inverse twist): row r to the summands over it
                 for cc, p2 in over.get(r, ()):
@@ -349,7 +402,7 @@ def _cone(A: ZigzagAlgebra, v, c: Complex, eliminate: bool, side: int) -> Comple
             mat.append(row)
         for r, p in cone.get(i, ()):
             # counit component (twist): right multiplication by the path
-            row = {r: ((p, 1),)} if side < 0 else {}
+            row = {to[r]: ((p, 1),)} if side < 0 else {}
             for r2, delta in dmat[r].items() if dmat else ():
                 targets = over.get(r2)
                 if targets:
@@ -358,8 +411,11 @@ def _cone(A: ZigzagAlgebra, v, c: Complex, eliminate: bool, side: int) -> Comple
                         if p2 in prod:
                             row[cc] = ((e_v, -prod[p2]),)
             mat.append(row)
-        diffs[i] = mat
-    out = make_complex(A, terms, diffs)
+        diffs[i] = tuple(mat[r] for r in order[i])
+    out = Complex(
+        {i: tuple(ss[r] for r in order[i]) for i, ss in terms.items()}, diffs
+    )
+    _check_complex(A, out)
     return gaussian_eliminate(A, out) if eliminate else out
 
 

@@ -83,12 +83,13 @@ class UnfoldedGraph:
 
 def unfold(g: CoxeterGraph) -> UnfoldedGraph:
     ring = coxeter_fusion_ring(g)
+    rank = ring.rank
     vertices = tuple((s, label) for s in g.vertices for label in ring.basis)
     edges: list[tuple[int, int, int]] = []
     for i, j, m in g.edges:
         if m == INF:
-            for e in range(ring.rank):
-                edges.append((i * ring.rank + e, j * ring.rank + e, 2))
+            for e in range(rank):
+                edges.append((i * rank + e, j * rank + e, 2))
             continue
         # the edge object is one simple Pi_k, so Pi_k * Pi_f is the row
         # N[k][f] and N[k] is the whole adjacency between the two fibers
@@ -96,18 +97,14 @@ def unfold(g: CoxeterGraph) -> UnfoldedGraph:
         # TLJ products are multiplicity-free and symmetric; both facts
         # are what lets an edge upstairs stand for a coefficient
         edge = f"{g.vertices[i]}-{g.vertices[j]}"
-        if not all(c in (0, 1) for row in adj for c in row):
+        if not set().union(*adj) <= {0, 1}:
             raise InvariantError(f"edge object of {edge} is not multiplicity-free")
-        if any(
-            adj[f][e] != adj[e][f]
-            for e in range(ring.rank)
-            for f in range(ring.rank)
-        ):
+        if tuple(zip(*adj)) != adj:
             raise InvariantError(f"edge object of {edge} is not symmetric")
-        for f in range(ring.rank):
-            for e in range(ring.rank):
-                if adj[f][e]:
-                    edges.append((i * ring.rank + e, j * ring.rank + f, 1))
+        for f, row in enumerate(adj):
+            for e, c in enumerate(row):
+                if c:
+                    edges.append((i * rank + e, j * rank + f, 1))
     return UnfoldedGraph(g, ring, vertices, tuple(sorted(edges)))
 
 

@@ -17,7 +17,7 @@ multiplication; all arithmetic on these combinations lives here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .coxgraph import GraphError, InvariantError
@@ -31,11 +31,23 @@ _DEGREE = {"e": 0, "X": 2, "arrow": 1}
 
 @dataclass(frozen=True)
 class ZigzagAlgebra:
-    """Basis labels are ("e", v), ("X", v), or ("arrow", u, v, a)."""
+    """Basis labels are ("e", v), ("X", v), or ("arrow", u, v, a).
+
+    build_zigzag also fills, in the same pass, each basis path's source,
+    target and degree, and paths_out[v][t]: the basis paths from v to t,
+    in basis order, with targets that have no such path absent.  These
+    are read off the basis, so they take no part in equality.
+    """
 
     quiver: UnfoldedGraph
     basis: tuple[tuple, ...]
     mult: dict[tuple[int, int], Combo]
+    sources: tuple[int, ...] = field(compare=False, repr=False)
+    targets: tuple[int, ...] = field(compare=False, repr=False)
+    degrees: tuple[int, ...] = field(compare=False, repr=False)
+    paths_out: tuple[dict[int, tuple[int, ...]], ...] = field(
+        compare=False, repr=False
+    )
 
     @property
     def dim(self) -> int:
@@ -54,15 +66,6 @@ class ZigzagAlgebra:
 
     def degree(self, i: int) -> int:
         return _DEGREE[self.basis[i][0]]
-
-    @cached_property
-    def paths_out(self) -> tuple[dict[int, tuple[int, ...]], ...]:
-        """paths_out[v][t]: the basis paths from v to t, in basis order;
-        targets without such a path are absent."""
-        out: list[dict[int, list[int]]] = [{} for _ in self.quiver.vertices]
-        for b in range(self.dim):
-            out[self.source(b)].setdefault(self.target(b), []).append(b)
-        return tuple({t: tuple(ps) for t, ps in row.items()} for row in out)
 
 
 @dataclass(frozen=True)
@@ -92,14 +95,26 @@ def build_zigzag(u: UnfoldedGraph) -> ZigzagAlgebra:
         + [("arrow", *arrow) for arrow in arrows]
     )
     mult: dict[tuple[int, int], Combo] = {}
+    paths: list[dict[int, list[int]]] = []
     for v in range(n):
         mult[v, v] = ((v, 1),)
         mult[v, n + v] = mult[n + v, v] = ((n + v, 1),)
+        paths.append({v: [v, n + v]})
     position = {arrow: 2 * n + k for k, arrow in enumerate(arrows)}
     for (s, t, a), k in position.items():
         mult[s, k] = mult[k, t] = ((k, 1),)
         mult[k, position[t, s, a]] = ((n + s, 1),)
-    return ZigzagAlgebra(u, basis, mult)
+        paths[s].setdefault(t, []).append(k)
+    ends = tuple(range(n)) * 2
+    return ZigzagAlgebra(
+        u,
+        basis,
+        mult,
+        sources=ends + tuple(s for s, _, _ in arrows),
+        targets=ends + tuple(t for _, t, _ in arrows),
+        degrees=(0,) * n + (2,) * n + (1,) * len(arrows),
+        paths_out=tuple({t: tuple(ps) for t, ps in row.items()} for row in paths),
+    )
 
 
 def _vertex_index(A: ZigzagAlgebra, v) -> int:
@@ -151,7 +166,7 @@ def hom_basis(A: ZigzagAlgebra, src, tgt) -> list[HomElement]:
     return [
         HomElement((u, k), (v, k2), ((i, 1),))
         for i in A.paths_out[u].get(v, ())
-        if A.degree(i) == d
+        if A.degrees[i] == d
     ]
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxtwist.coxgraph import parse_graph
+from coxtwist.coxgraph import INF, parse_graph
 from coxtwist.fusion import (
     FusionElement,
     FusionRing,
@@ -26,7 +26,7 @@ from coxtwist.fusion import (
     tlj_ring,
 )
 
-from conftest import CORPUS_JSON
+from conftest import CORPUS_JSON, graph_json
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -236,6 +236,26 @@ def test_edge_object_fpdim_infinite_label():
     g = parse_graph(CORPUS_JSON["rank2_inf"])
     r = coxeter_fusion_ring(g)
     assert fpdim(r, edge_object(g, ("s", "t"))) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [*CORPUS_JSON.values(), graph_json("abcd", [("a", "b", 5), ("b", "c", 7), ("c", "d", 9)])],
+)
+def test_edge_object_is_read_off_the_graph_ring(doc):
+    # edge_object reads the ring's rank off the edge labels; the ring
+    # itself must agree: twice its unit for inf, a simple of FP-dimension
+    # 2cos(pi/m) for a finite label m
+    g = parse_graph(doc)
+    r = coxeter_fusion_ring(g)
+    for i, j, m in g.edges:
+        el = edge_object(g, (i, j, m))
+        assert len(el.coefficients) == r.rank
+        if m == INF:
+            assert el == FusionElement.unit(r) + FusionElement.unit(r)
+        else:
+            assert sorted(el.coefficients) == [0] * (r.rank - 1) + [1]
+            assert fpdim(r, el) == pytest.approx(2 * math.cos(math.pi / m))
 
 
 def test_multiply_bilinear_oracle():

@@ -435,26 +435,27 @@ def test_check_rejects_misshapen_matrix():
 
 def broken_sparse_rows(A):
     """Complexes assembled by hand, past make_complex's normalization,
-    each breaking one invariant of the sparse rows."""
+    each breaking one invariant of the sparse rows; coefficients are
+    ints, as the check requires of every complex."""
     st_ = A.basis.index(("arrow", 0, 1, 0))
     ts = A.basis.index(("arrow", 1, 0, 0))
     line = {0: ((0, 1),), 1: ((1, 0),)}
     square = {0: ((0, 2),), 1: ((1, 1), (1, 1)), 2: ((0, 0),)}
     return {
         "row count": Complex(line, {0: ({}, {})}),
-        "column key": Complex(line, {0: ({1: ((st_, ONE),)},)}),
+        "column key": Complex(line, {0: ({1: ((st_, 1),)},)}),
         "stored zero": Complex(line, {0: ({0: ()},)}),
         "inhomogeneous": Complex(
-            {0: ((0, 0),), 1: ((1, 0),)}, {0: ({0: ((st_, ONE),)},)}
+            {0: ((0, 0),), 1: ((1, 0),)}, {0: ({0: ((st_, 1),)},)}
         ),
         # the composite X_s runs through the second middle summand only
-        "d.d": Complex(square, {0: ({1: ((st_, ONE),)},), 1: ({}, {0: ((ts, ONE),)})}),
+        "d.d": Complex(square, {0: ({1: ((st_, 1),)},), 1: ({}, {0: ((ts, 1),)})}),
         # the same shape with the two composites cancelling is a complex
         None: Complex(
             square,
             {
-                0: ({0: ((st_, ONE),), 1: ((st_, ONE),)},),
-                1: ({0: ((ts, ONE),)}, {0: ((ts, -ONE),)}),
+                0: ({0: ((st_, 1),), 1: ((st_, 1),)},),
+                1: ({0: ((ts, 1),)}, {0: ((ts, -1),)}),
             },
         ),
     }
@@ -469,6 +470,48 @@ def test_check_rejects_broken_sparse_rows(case):
     else:
         with pytest.raises(InvariantError):
             _check_complex(A, c)
+
+
+def unnormalized_rows(A):
+    """Complexes over rank2_inf assembled by hand, each sound as a map
+    of complexes but skipping one step of make_complex's normalization."""
+    a0 = A.basis.index(("arrow", 0, 1, 0))
+    a1 = A.basis.index(("arrow", 0, 1, 1))
+    line = {0: ((0, 1),), 1: ((1, 0),)}
+    return {
+        "fraction": Complex(line, {0: ({0: ((a0, Fraction(1)),)},)}),
+        "unsorted summands": Complex(
+            {0: ((1, 1), (0, 1)), 1: ((1, 0),)}, {0: ({}, {0: ((a0, 1),)})}
+        ),
+        "unsorted combo": Complex(line, {0: ({0: ((a1, 1), (a0, 1))},)}),
+        "duplicated combo": Complex(line, {0: ({0: ((a0, 1), (a0, 1))},)}),
+        "missing row map": Complex(line, {}),
+        None: Complex(line, {0: ({0: ((a0, 1), (a1, 1))},)}),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["fraction", "unsorted summands", "unsorted combo", "duplicated combo", "missing row map"],
+)
+def test_check_rejects_unnormalized_rows(case):
+    # the check demands what make_complex's normalization produces, and
+    # make_complex turns the same input into a complex that passes
+    _, _, A = setup("rank2_inf")
+    c = unnormalized_rows(A)[case]
+    with pytest.raises(InvariantError, match="not sorted|int coefficients|missing"):
+        _check_complex(A, c)
+    _check_complex(A, make_complex(A, c.terms, c.diffs))
+
+
+def test_check_accepts_normalized_rows():
+    _, _, A = setup("rank2_inf")
+    c = unnormalized_rows(A)[None]
+    _check_complex(A, c)
+    a0 = A.basis.index(("arrow", 0, 1, 0))
+    a1 = A.basis.index(("arrow", 0, 1, 1))
+    dense = {0: [[((a1, True), (a0, Fraction(1)))]]}
+    assert make_complex(A, c.terms, dense) == c
 
 
 def test_dense_and_sparse_rows_build_the_same_complex():
@@ -517,11 +560,13 @@ def test_check_survives_optimized_interpreter():
         "else:\n"
         "    raise SystemExit(1)\n"
         "from coxtwist.homotopy import Complex, _check_complex\n"
-        "try:\n"
-        "    _check_complex(A, Complex({0: ((0, 1),), 1: ((1, 0),)}, {0: ({0: ()},)}))\n"
-        "except InvariantError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(2)\n"
+        "line = {0: ((0, 1),), 1: ((1, 0),)}\n"
+        "for diffs in ({0: ({0: ()},)}, {0: ({0: ((st, one),)},)}):\n"
+        "    try:\n"
+        "        _check_complex(A, Complex(line, diffs))\n"
+        "    except InvariantError:\n"
+        "        continue\n"
+        "    raise SystemExit(2)\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
@@ -1086,3 +1131,46 @@ def test_large_act_is_pinned(tmp_path, monkeypatch):
     column = burau_column(burau_word(g, coxeter_fusion_ring(g), letters), g.index("s"))
     assert summands == sum(abs(co) for poly in column for _, co in poly) == 1597
     assert len(calls) <= 6000
+
+
+def test_twists_build_normalized_complexes_and_check_each(tmp_path, monkeypatch):
+    # the twists of (s^2 t^-2)^3 on P_s over rank2_inf build their
+    # results already normalized, so no entry is normalized again, and
+    # _check_complex validates each cone and each elimination result
+    path = tmp_path / "rank2_inf.json"
+    path.write_text(CORPUS_JSON["rank2_inf"])
+    normalized, checked, twists = [], [], []
+    normalize, check = homotopy._normalize_entry, homotopy._check_complex
+
+    def normalize_spy(entry):
+        normalized.append(entry)
+        return normalize(entry)
+
+    def check_spy(A, c):
+        checked.append(c)
+        return check(A, c)
+
+    monkeypatch.setattr(homotopy, "_normalize_entry", normalize_spy)
+    monkeypatch.setattr(homotopy, "_check_complex", check_spy)
+    for name, side in (("twist", -1), ("dual_twist", 1)):
+
+        def spy(A, v, c, eliminate=True, side=side):
+            start = len(checked)
+            out = homotopy._cone(A, v, c, eliminate, side)
+            checks = checked[start:]
+            cone = homotopy._cone(A, v, c, False, side)
+            twists.append((out is c, checks, cone, out))
+            return out
+
+        monkeypatch.setattr(homotopy, name, spy)
+    res = cli.run(["act", str(path), " ".join(["s s t^-1 t^-1"] * 3), "--on", "s"])
+    assert res.exit_code == 0
+    assert normalized == []
+    assert len(twists) == 12 and not any(noop for noop, *_ in twists)
+    for _, checks, cone, out in twists:
+        if out == cone:
+            # already minimal: elimination strikes nothing and returns it
+            assert checks == [cone]
+        else:
+            assert len(checks) == 2 and checks == [cone, out]
+    assert sum(len(checks) == 2 for _, checks, *_ in twists) == 11

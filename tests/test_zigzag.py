@@ -463,6 +463,14 @@ def test_paths_out_matches_basis_scan(algebras, name):
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_JSON) + ["chain579"])
+def test_basis_tables_match_the_labels(algebras, name):
+    A = algebras[name]
+    assert A.sources == tuple(A.source(b) for b in range(A.dim))
+    assert A.targets == tuple(A.target(b) for b in range(A.dim))
+    assert A.degrees == tuple(A.degree(b) for b in range(A.dim))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_JSON) + ["chain579"])
 def test_local_product_table_matches_all_pairs(algebras, name):
     A = algebras[name]
     assert A.mult == all_pairs_table(A)
@@ -486,6 +494,9 @@ def test_direct_structures_match_references_on_random_graphs(data):
     assert [{t: list(ps) for t, ps in row.items()} for row in A.paths_out] == (
         basis_scan(A)
     )
+    assert A.degrees == tuple(A.degree(b) for b in range(A.dim))
+    assert A.sources == tuple(A.source(b) for b in range(A.dim))
+    assert A.targets == tuple(A.target(b) for b in range(A.dim))
     for i, b in enumerate(A.basis):
         if b[0] == "arrow":
             assert path_label(A, i).endswith(")" + ref_arrow_suffix(A, i))
