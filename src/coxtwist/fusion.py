@@ -150,10 +150,35 @@ def deligne_product(rings: list[FusionRing]) -> FusionRing:
     )
 
 
+# The most simples a graph's ring may have.  Building it writes a
+# rank**3 table, so a label such as m = 10**6 must be refused before any
+# table is built; 128 admits the 5-7-9-11 chain (rank 120).
+MAX_RING_RANK = 128
+
+
+def _factor_ranks(labels) -> list[int]:
+    """The rank of each factor of the ring of these finite edge labels:
+    n - 1 for an even label n, (n - 1) / 2 for an odd one.  Raises
+    ValueError, before anything is built, when their product is over
+    MAX_RING_RANK."""
+    sizes = [(n - 1) if n % 2 == 0 else (n - 1) // 2 for n in labels]
+    rank = math.prod(sizes)
+    if rank > MAX_RING_RANK:
+        raise ValueError(
+            f"fusion ring of rank {rank} is over the ring-size budget "
+            f"of {MAX_RING_RANK} simples"
+        )
+    return sizes
+
+
 @cache
 def coxeter_fusion_ring(g: CoxeterGraph) -> FusionRing:
-    """Product of one TLJ factor per distinct finite edge label, increasing."""
+    """Product of one TLJ factor per distinct finite edge label, increasing.
+
+    A ring over MAX_RING_RANK simples raises ValueError before any table
+    is built."""
     labels = g.finite_edge_labels()
+    _factor_ranks(labels)
     if not labels:
         return tlj_even_ring(3)
     return deligne_product(
@@ -189,7 +214,7 @@ def edge_object(g: CoxeterGraph, e) -> FusionElement:
     # coxeter_fusion_ring(g) is the product of these factors, first
     # factor slowest, and its unit Pi0*...*Pi0 comes first; reading the
     # rank off the factors spares a ring lookup per call
-    sizes = [(n - 1) if n % 2 == 0 else (n - 1) // 2 for n in factors]
+    sizes = _factor_ranks(factors)
     coeffs = [0] * math.prod(sizes)
     if m == INF:
         coeffs[0] = 2

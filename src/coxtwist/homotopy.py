@@ -35,6 +35,19 @@ cone is empty, because no summand has a path from the twisting vertex,
 returns its input without rebuilding it, through gaussian_eliminate
 unless elimination is off.
 
+A braid letter twists along its whole fiber, but only at the live
+vertices: the support of the complex (the vertices that carry a
+summand) is read once per letter, and a fiber vertex with no path to
+it is skipped, since its cone is empty.  This is exact.  No two
+vertices of a fiber are adjacent, because no base vertex is joined to
+itself, so none has a path to another; a twist at v adds summands at v
+only, and elimination only removes summands; so the support read at
+the start of the letter contains every vertex whose cone is nonempty
+when the loop reaches it.  A skipped twist would have returned
+gaussian_eliminate(c), which is c itself once c is minimal, and every
+twist result is minimal; only a skipped first twist of a word, on a
+complex supplied from outside, still eliminates.
+
 The word problems (is_identity_word, recognize_shift, words_equal) start
 from one projective per base vertex, P_(s,1) on the unit of the fusion
 ring, not from every unfolded vertex.  The zigzag algebra is an algebra
@@ -344,7 +357,7 @@ def _cone(A: ZigzagAlgebra, v, c: Complex, eliminate: bool, side: int) -> Comple
     paths = A.paths_out[v]
     if not any(u in paths for summands in c.terms.values() for u, _ in summands):
         return gaussian_eliminate(A, c) if eliminate else c
-    e_v = A._basis_index[("e", v)]
+    e_v = v  # e_v is basis index v by construction
     degrees = A.degrees
     shift = -2 if side > 0 else 0
     # partner[y] = x over the comultiplication terms x (x) y at v
@@ -441,18 +454,30 @@ def _fiber_plan(u: UnfoldedGraph, word) -> tuple[tuple[int, tuple[int, ...]], ..
 
 
 def _apply_plan(A: ZigzagAlgebra, plan, c: Complex) -> Complex:
+    """Twist c along the fiber of each letter, skipping the vertices
+    whose cone is empty (see the module docstring for why that is
+    exact).  c may come from outside and not be minimal, so a skipped
+    first twist still eliminates, as the twist would have."""
     # twist and dual_twist are looked up per call, so that patching the
-    # module names sees every twist
+    # module names sees every twist that runs
+    paths_out = A.paths_out
+    first = True
     for exp, vertices in plan:
         op = twist if exp == 1 else dual_twist
+        live = {u for summands in c.terms.values() for u, _ in summands}
         for v in vertices:
-            c = op(A, v, c)
+            if not live.isdisjoint(paths_out[v]):
+                c = op(A, v, c)
+            elif first:
+                c = gaussian_eliminate(A, c)
+            first = False
     return c
 
 
 def apply_braid_word(A: ZigzagAlgebra, u: UnfoldedGraph, word, c: Complex) -> Complex:
     """Act by a word in the base generators, first letter first; each
-    letter twists (or untwists) along every vertex of its fiber."""
+    letter twists (or untwists) along every vertex of its fiber, where
+    the twists whose cone is empty are skipped (see _apply_plan)."""
     return _apply_plan(A, _fiber_plan(u, word), c)
 
 

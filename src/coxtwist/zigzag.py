@@ -18,7 +18,6 @@ multiplication; all arithmetic on these combinations lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .coxgraph import GraphError, InvariantError
 from .unfolding import UnfoldedGraph
@@ -52,10 +51,6 @@ class ZigzagAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def _basis_index(self) -> dict[tuple, int]:
-        return {b: k for k, b in enumerate(self.basis)}
 
     def source(self, i: int) -> int:
         return self.basis[i][1]
@@ -186,20 +181,20 @@ def frobenius_comult(A: ZigzagAlgebra, v) -> dict[int, tuple[tuple[int, int], ..
     basis indices with implied coefficient +1: the diagonal row gets
     e_v (x) X_v + X_v (x) e_v, a neighbor gets one cup term per shared
     arrow index, everything else is zero.
+
+    The indices come from the basis order: e_v is v and X_v is n + v,
+    and paths_out[t][v] lists the arrows (t|v)_a in order of a, so the
+    a-th arrows each way are reverses of each other.
     """
     v = _vertex_index(A, v)
-    idx = A._basis_index
-    bonds = A.quiver.bonds
+    n = len(A.quiver.vertices)
+    out = A.paths_out[v]
     rows: dict[int, tuple[tuple[int, int], ...]] = {}
-    for t in range(len(A.quiver.vertices)):
+    for t in range(n):
         if t == v:
-            e, x = idx[("e", v)], idx[("X", v)]
-            rows[t] = ((e, x), (x, e))
-        elif (t, v) in bonds:
-            rows[t] = tuple(
-                (idx[("arrow", t, v, a)], idx[("arrow", v, t, a)])
-                for a in range(bonds[t, v])
-            )
+            rows[t] = ((v, n + v), (n + v, v))
+        elif t in out:
+            rows[t] = tuple(zip(A.paths_out[t][v], out[t]))
         else:
             rows[t] = ()
     return rows

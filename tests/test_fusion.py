@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxtwist import cli, fusion
 from coxtwist.coxgraph import INF, parse_graph
 from coxtwist.fusion import (
+    MAX_RING_RANK,
     FusionElement,
     FusionRing,
     coxeter_fusion_ring,
@@ -256,6 +258,72 @@ def test_edge_object_is_read_off_the_graph_ring(doc):
         else:
             assert sorted(el.coefficients) == [0] * (r.rank - 1) + [1]
             assert fpdim(r, el) == pytest.approx(2 * math.cos(math.pi / m))
+
+
+class TableBuilt(Exception):
+    pass
+
+
+@pytest.fixture
+def no_ring_tables(monkeypatch):
+    """Make every ring-table builder raise TableBuilt if it is called."""
+
+    def refuse(*args):
+        raise TableBuilt(args)
+
+    for name in ("tlj_ring", "tlj_even_ring", "deligne_product"):
+        monkeypatch.setattr(fusion, name, refuse)
+
+
+def test_ring_over_the_budget_is_refused_before_any_table(no_ring_tables):
+    g = parse_graph(graph_json(["s", "t"], [("s", "t", 10**6)]))
+    with pytest.raises(ValueError, match="rank 999999 is over the ring-size budget"):
+        coxeter_fusion_ring(g)
+    with pytest.raises(ValueError, match="ring-size budget"):
+        edge_object(g, ("s", "t"))
+
+
+@pytest.mark.parametrize(
+    "labels, rank",
+    [((5, 7, 9, 11), 120), ((2 * MAX_RING_RANK + 1,), MAX_RING_RANK), ((4, 6, 7), 45)],
+)
+def test_ring_within_the_budget_is_built(no_ring_tables, labels, rank):
+    # an even label n gives a factor n - 1, an odd one (n - 1) / 2; a ring
+    # within the budget gets as far as its tables
+    names = [f"v{k}" for k in range(len(labels) + 1)]
+    edges = [(names[k], names[k + 1], m) for k, m in enumerate(labels)]
+    g = parse_graph(graph_json(names, edges))
+    assert math.prod(fusion._factor_ranks(labels)) == rank
+    with pytest.raises(TableBuilt):
+        coxeter_fusion_ring(g)
+
+
+@pytest.mark.parametrize("m", [MAX_RING_RANK + 2, 2 * MAX_RING_RANK + 3])
+def test_ring_one_over_the_budget_is_refused(no_ring_tables, m):
+    g = parse_graph(graph_json(["s", "t"], [("s", "t", m)]))
+    with pytest.raises(ValueError, match=f"rank {MAX_RING_RANK + 1} is over"):
+        coxeter_fusion_ring(g)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fusion-table"],
+        ["unfold"],
+        ["zigzag-info"],
+        ["act", "s t", "--on", "s"],
+        ["is-identity", "s s^-1"],
+        ["burau", "s"],
+        ["roots"],
+        ["coxeter-eq", "s", "t"],
+    ],
+)
+def test_cli_exits_2_over_the_ring_budget(no_ring_tables, tmp_path, capsys, argv):
+    path = tmp_path / "big.json"
+    path.write_text(graph_json(["s", "t"], [("s", "t", 10**6)]))
+    res = cli.run([argv[0], str(path), *argv[1:]])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert f"ring-size budget of {MAX_RING_RANK} simples" in capsys.readouterr().err
 
 
 def test_multiply_bilinear_oracle():

@@ -30,7 +30,7 @@ from coxtwist.homotopy import (
     words_equal,
 )
 from coxtwist.lattice import burau_column, burau_word
-from coxtwist.unfolding import fiber, lcm_translate, unfold
+from coxtwist.unfolding import lcm_translate, unfold
 from coxtwist.zigzag import (
     _add_combo,
     _vertex_index,
@@ -643,7 +643,7 @@ def ref_twist(A, v, c, eliminate=True):
     paths = A.paths_out[v]
     if not any(u in paths for summands in c.terms.values() for u, _ in summands):
         return gaussian_eliminate(A, c) if eliminate else c
-    e_v = A._basis_index[("e", v)]
+    e_v = A.basis.index(("e", v))
     cone = {}
     for i, summands in c.terms.items():
         added = [
@@ -689,7 +689,7 @@ def ref_dual_twist(A, v, c, eliminate=True):
     paths = A.paths_out[v]
     if not any(u in paths for summands in c.terms.values() for u, _ in summands):
         return gaussian_eliminate(A, c) if eliminate else c
-    e_v = A._basis_index[("e", v)]
+    e_v = A.basis.index(("e", v))
     partner = {
         y: x for pairs in frobenius_comult(A, v).values() for x, y in pairs
     }
@@ -793,33 +793,69 @@ def test_braid_letters_normalize_names():
     assert braid_letters(()) == ()
 
 
-def test_braid_words_call_the_module_twists(monkeypatch):
-    # the perfbench tracer patches these two names and reads their results
-    _, u, A = setup("i2_5")
-    calls = {"twist": 0, "dual_twist": 0}
+def all_vertex_plan(A, plan, c):
+    """The reference for homotopy._apply_plan: every letter twists at
+    every vertex of its fiber, the empty cones included."""
+    for exp, vertices in plan:
+        op = twist if exp == 1 else dual_twist
+        for v in vertices:
+            c = op(A, v, c)
+    return c
 
-    def counting(name, real):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+
+def cone_is_empty(A, v, c):
+    """No basis path runs from v to a summand of c, by a basis scan."""
+    live = {u for summands in c.terms.values() for u, _ in summands}
+    return not any(
+        A.source(b) == v and A.target(b) in live for b in range(A.dim)
+    )
+
+
+def test_braid_words_call_the_module_twists(monkeypatch):
+    # the perfbench tracer patches these two names and reads their
+    # results; a letter calls them at exactly the vertices of its fiber
+    # whose cone is nonempty, in fiber order, and skips the rest
+    calls = []
+
+    def counting(real):
+        def wrapper(A, v, c, *args, **kwargs):
+            calls.append((real.__name__, v))
+            return real(A, v, c, *args, **kwargs)
 
         return wrapper
 
-    want = apply_braid_word(A, u, ("s", ("t", -1)), projective_complex(A, 0))
-    monkeypatch.setattr(homotopy, "twist", counting("twist", twist))
-    monkeypatch.setattr(homotopy, "dual_twist", counting("dual_twist", dual_twist))
-    got = apply_braid_word(A, u, ("s", ("t", -1)), projective_complex(A, 0))
-    assert got == want
-    assert calls == {"twist": len(fiber(u, "s")), "dual_twist": len(fiber(u, "t"))}
+    cases = (
+        ("i2_5", ("s", ("t", -1), "s", "t")),
+        ("g2_affine", ("a", "b", ("c", -1), ("b", -1), "a")),
+        ("l579", ("a", ("b", -1), "c", ("b", -1), "d")),
+    )
+    for name, word in cases:
+        _, u, A = sweep_setup(name)
+        plan = homotopy._fiber_plan(u, word)
+        want, c = [], projective_complex(A, 0)
+        for exp, vertices in plan:
+            op = twist if exp == 1 else dual_twist
+            for v in vertices:
+                if not cone_is_empty(A, v, c):
+                    want.append((op.__name__, v))
+                c = op(A, v, c)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(homotopy, "twist", counting(twist))
+            m.setattr(homotopy, "dual_twist", counting(dual_twist))
+            assert apply_braid_word(A, u, word, projective_complex(A, 0)) == c
+        assert calls == want
+        assert 0 < len(calls) < sum(len(vertices) for _, vertices in plan)
 
 
 # The word problems start from the unit fiber only.  The sweep over every
 # unfolded vertex is kept here as the reference they must agree with.
 def full_sweep(A, u, word):
-    """The image of every projective under the word, by vertex index."""
-    letters = braid_letters(word)
+    """The image of every projective under the word, by vertex index,
+    twisting at every fiber vertex."""
+    plan = homotopy._fiber_plan(u, word)
     return [
-        apply_braid_word(A, u, letters, projective_complex(A, x))
+        all_vertex_plan(A, plan, projective_complex(A, x))
         for x in range(len(u.vertices))
     ]
 
@@ -1025,7 +1061,7 @@ def dense_cone(A, v, c, eliminate, side):
     paths = A.paths_out[v]
     if not any(u in paths for summands in c.terms.values() for u, _ in summands):
         return dense_eliminate(A, c) if eliminate else c
-    e_v = A._basis_index[("e", v)]
+    e_v = A.basis.index(("e", v))
     shift = -2 if side > 0 else 0
     partner = (
         {y: x for pairs in frobenius_comult(A, v).values() for x, y in pairs}
@@ -1174,3 +1210,148 @@ def test_twists_build_normalized_complexes_and_check_each(tmp_path, monkeypatch)
         else:
             assert len(checks) == 2 and checks == [cone, out]
     assert sum(len(checks) == 2 for _, checks, *_ in twists) == 11
+
+
+# _apply_plan skips the twists whose cone is empty; the all-vertex loop
+# above is its reference, on minimal starts and on complexes from outside
+# that still hold an idempotent entry
+PLAN_GRAPHS = {
+    **CORPUS_JSON,
+    "l579": SWEEP_GRAPHS["l579"],
+    "h3": FULL_TWIST_GRAPHS["h3"],
+}
+MAX_PLAN_LETTERS = {"l579": 3}
+
+
+@functools.cache
+def plan_setup(name):
+    g = parse_graph(PLAN_GRAPHS[name])
+    u = unfold(g)
+    return g, u, build_zigzag(u)
+
+
+def with_contractible_pair(A, c, x, k, i):
+    """c plus P_x<k> -e_x-> P_x<k> in degrees i and i + 1, through
+    make_complex: a complex that is not minimal."""
+    terms = {d: list(ss) for d, ss in c.terms.items()}
+    diffs = {d: [dict(row) for row in mat] for d, mat in c.diffs.items()}
+    rows = len(terms.get(i, ()))
+    terms.setdefault(i, []).append((x, k))
+    terms.setdefault(i + 1, []).append((x, k))
+    # the new summands come last: a new row at degree i, a new column at
+    # degree i + 1, and a zero row above it
+    mat = diffs.setdefault(i, [{} for _ in range(rows)])
+    mat.append({len(terms[i + 1]) - 1: ((x, 1),)})
+    if i + 1 in diffs:
+        diffs[i + 1].append({})
+    return make_complex(A, terms, diffs)
+
+
+@st.composite
+def plan_cases(draw):
+    name = draw(st.sampled_from(sorted(PLAN_GRAPHS)))
+    g, u, A = plan_setup(name)
+    cap = MAX_PLAN_LETTERS.get(name, 4)
+    letter = st.tuples(st.sampled_from(g.vertices), st.sampled_from((1, -1)))
+    vertex = st.integers(0, len(u.vertices) - 1)
+    start = projective_complex(
+        A, draw(vertex), draw(st.integers(-2, 2)), draw(st.integers(-1, 1))
+    )
+    prefix = homotopy._fiber_plan(u, draw(st.lists(letter, max_size=2)))
+    c = all_vertex_plan(A, prefix, start)
+    kind = draw(st.sampled_from(("projective", "pair", "cone")))
+    if kind == "pair":
+        c = with_contractible_pair(
+            A, c, draw(vertex), draw(st.integers(-2, 2)), draw(st.sampled_from(sorted(c.terms)))
+        )
+    elif kind == "cone":
+        # an uneliminated cone at a vertex that carries a summand holds
+        # e_v, from the counit or from the unit
+        live = sorted({v for ss in c.terms.values() for v, _ in ss})
+        op = draw(st.sampled_from((twist, dual_twist)))
+        cone = op(A, draw(st.sampled_from(live)), c, eliminate=False)
+        c = make_complex(A, cone.terms, cone.diffs)
+    assert is_minimal(A, c) == (kind == "projective")
+    word = tuple(draw(st.lists(letter, max_size=cap)))
+    return name, word, c
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=plan_cases())
+def test_skipping_plan_equals_the_all_vertex_reference(case):
+    name, word, c = case
+    _, u, A = plan_setup(name)
+    plan = homotopy._fiber_plan(u, word)
+    got = homotopy._apply_plan(A, plan, c)
+    assert got == all_vertex_plan(A, plan, c)
+    assert got == apply_braid_word(A, u, word, c)
+    _check_complex(A, got)
+    assert is_minimal(A, got) or not plan
+
+
+def test_skipped_first_twist_still_eliminates():
+    # on a3 no path joins u to s: the twist at u finds an empty cone on
+    # P_s plus a contractible pair on P_s, and is skipped; the pair goes
+    # all the same, as it would have through the twist's elimination
+    _, u, A = setup("a3")
+    c = with_contractible_pair(A, projective_complex(A, "s,Pi0"), 0, 0, 0)
+    assert cone_is_empty(A, u.index("u,Pi0"), c) and not is_minimal(A, c)
+    plan = homotopy._fiber_plan(u, ("u", ("u", -1)))
+    got = homotopy._apply_plan(A, plan, c)
+    assert got == all_vertex_plan(A, plan, c) == projective_complex(A, "s,Pi0")
+
+
+# stdout and exit code of word problems on the 5-7-9 chain and of the
+# rank2_inf ladder, pinned by SHA-256; a change to which twists run must
+# leave every byte as it was
+PINNED_COMMANDS = [
+    ("l579", ["act", "a b", "--on", "a,Pi0*Pi0*Pi0"], 0,
+     "1332d7751f33c3c0b1b794bc3b6fac098ee26401df3780fa24da261629bf09cf"),
+    ("l579", ["act", "b^-1 c d", "--on", "c,Pi2*Pi4*Pi0"], 0,
+     "fb239c948ade00420cdc00e6177e3ff139ffe3945fa9a23b07281d00bcf0d89a"),
+    ("l579", ["act", "a b c d c^-1 b^-1", "--on", "b,Pi0*Pi2*Pi6"], 0,
+     "b778d8725f5187ca1bddf1d9ff4556376efc769220500e59834eb15cf258a149"),
+    ("l579", ["act", "d c^-1 b a^-1", "--on", "d,Pi2*Pi0*Pi4", "--shift", "1", "--deg", "-1"], 0,
+     "b7cdd4f4b9c2b67e03c4cd1043b09bdd2c051ed498201a69a454f5b48e44e2a7"),
+    ("l579", ["act", "c b^-1 a a", "--on", "b,Pi2*Pi2*Pi2"], 0,
+     "a28327ef20a09ea5c955bb00df65edb6dfe0eb90b81825d52e47c19f2b6b15d9"),
+    ("l579", ["act", "", "--on", "a,Pi2*Pi0*Pi0"], 0,
+     "2321fa5f1a714c44e677c8d55bcf6f8057a73d8d856d4cb5852ae7cb50907ad5"),
+    ("l579", ["is-identity", "a b a^-1 b^-1"], 3,
+     "5dc9f13017a4b0c3829aa63759fc947572d87b4f486ee3f5c4d77e854d98fd92"),
+    ("l579", ["is-identity", "a c a^-1 c^-1"], 0,
+     "560ee359cf3259353f1bc53e0c8add2aec9ec79cf533cbb5385423e42a34822a"),
+    ("l579", ["is-identity", "b a d^-1 a^-1 d b^-1"], 0,
+     "560ee359cf3259353f1bc53e0c8add2aec9ec79cf533cbb5385423e42a34822a"),
+    ("l579", ["is-identity", "c^-1 d c d^-1"], 3,
+     "5dc9f13017a4b0c3829aa63759fc947572d87b4f486ee3f5c4d77e854d98fd92"),
+    ("l579", ["word-eq", "a b a b a", "b a b a b"], 0,
+     "1907d592edca123512edf021ad7230b31ee3b68b2e38b78b07acd5e85256a3d6"),
+    ("l579", ["word-eq", "a d", "d a"], 0,
+     "1907d592edca123512edf021ad7230b31ee3b68b2e38b78b07acd5e85256a3d6"),
+    ("l579", ["word-eq", "b c", "c b"], 3,
+     "56403957ef1777cf667726c8d0824fdc9a4641b3d8e48a8dc9a2ec632491cb93"),
+    ("rank2_inf", ["act", "s t^-1 s t^-1", "--on", "s"], 0,
+     "db2bb9bc375418fde9c5c8dea4d4b2abb517214c3ec48a013cd546e170580bbd"),
+    ("rank2_inf", ["act", "t s^-1 t s^-1 t s^-1", "--on", "t"], 0,
+     "b6ba2dfaeb8452c4ef438f4b0381b27915106e959faf02f2c00a2166c4bf8a1a"),
+    ("rank2_inf", ["act", "s s t^-1 t^-1 s s t^-1 t^-1", "--on", "s"], 0,
+     "3c24d0f09599b8d88ed4e75744ebe66599ac67689c81556a0c4aa019ebb2dff0"),
+    ("rank2_inf", ["act", "s t^-1 s t^-1 s t^-1 s^-1", "--on", "s"], 0,
+     "43c9908c6e7346de27e089c55d627627050b52c2d3a76e2bcbb75835bd17d5e6"),
+    ("rank2_inf", ["act", "t s^-1 t s^-1 t s^-1 t", "--on", "t"], 0,
+     "c52f2afe00b0800281ed92eaf4675faeea548954c876aebd2b9fddf57a8177cd"),
+]
+
+
+def test_twist_commands_are_pinned(tmp_path):
+    paths = {}
+    for name in ("l579", "rank2_inf"):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(PLAN_GRAPHS[name])
+    for name, (cmd, *rest), code, digest in PINNED_COMMANDS:
+        res = cli.run([cmd, str(paths[name]), *rest])
+        assert (res.exit_code, hashlib.sha256(res.stdout.encode()).hexdigest()) == (
+            code,
+            digest,
+        ), (name, cmd, rest)

@@ -331,6 +331,29 @@ def test_frobenius_comult_double_bond_has_two_terms():
     )
 
 
+def ref_frobenius_comult(A, v):
+    """The comultiplication rows with every index looked up by its label."""
+    n = len(A.quiver.vertices)
+    rows = {}
+    for t in range(n):
+        if t == v:
+            e, x = bidx(A, ("e", v)), bidx(A, ("X", v))
+            rows[t] = ((e, x), (x, e))
+        else:
+            rows[t] = tuple(
+                (bidx(A, ("arrow", t, v, a)), bidx(A, ("arrow", v, t, a)))
+                for a in range(A.quiver.bonds.get((t, v), 0))
+            )
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_JSON) + ["chain579"])
+def test_frobenius_comult_matches_the_labels(algebras, name):
+    A = algebras[name]
+    for v in range(len(A.quiver.vertices)):
+        assert frobenius_comult(A, v) == ref_frobenius_comult(A, v)
+
+
 def test_frobenius_comult_unknown_vertex():
     A = algebra("a2")
     with pytest.raises(GraphError):
