@@ -11,7 +11,13 @@ nested too deep to parse, and a charge value that is not finite.
 The word-problem commands (word-eq, is-identity, shift-type,
 check-relations) decide equality in the group generated by the
 spherical twists acting on complexes of graded projectives; answers are
-statements about that twist group.
+statements about that twist group.  Each word is first tested against
+its folded Burau matrix, on the parsed graph and its ring, before the
+graph is unfolded: a word whose matrix is not the identity (or not one
+uniform +-q^b shift) is answered "no" at once, and builds no zigzag
+algebra and no complex.  The matrix only ever rejects, since the Burau
+representation is not faithful in general; a word it passes is decided
+by the twists.
 
 Structured outputs are JSON with a fixed key order and floats rounded
 to 15 significant digits.  The environment variable COXTWIST_MAX_ITER
@@ -36,10 +42,11 @@ from .fusion import FusionElement, FusionRing, coxeter_fusion_ring
 from .geometry import CentralCharge, in_regular_set, in_tits_interior, locate_chamber
 from .homotopy import (
     apply_braid_word,
+    burau_shift,
     is_identity_word,
     projective_complex,
+    quotient_word,
     recognize_shift,
-    words_equal,
 )
 from .lattice import burau_word, coxeter_word_equal, root_layers, specialize_q
 from .unfolding import UnfoldedGraph, unfold
@@ -201,10 +208,11 @@ def _fmt_laurent_entry(ring: FusionRing, entry) -> str:
     return " + ".join(chunks)
 
 
-def _fmt_combo(A: ZigzagAlgebra, combo) -> str:
+def _fmt_combo(combo, label) -> str:
+    """The combination as text, with label(b) naming basis path b."""
     parts = []
     for b, co in combo:
-        lab = path_label(A, b)
+        lab = label(b)
         if co == 1:
             parts.append(lab)
         elif co == -1:
@@ -300,14 +308,15 @@ def _cmd_zigzag_info(args, out) -> int:
     A = build_zigzag(u)
     print(f"vertices: {len(u.vertices)}", file=out)
     print(f"dimension: {A.dim}", file=out)
+    labels = [path_label(A, k) for k in range(A.dim)]
     print("basis:", file=out)
-    for k in range(A.dim):
-        print(f"[{k}] {path_label(A, k)} (deg {A.degree(k)})", file=out)
+    for k, lab in enumerate(labels):
+        print(f"[{k}] {lab} (deg {A.degree(k)})", file=out)
     print("products (zeros omitted):", file=out)
     # the table holds exactly the nonzero products
     for i, j in sorted(A.mult):
-        lhs = f"{path_label(A, i)} * {path_label(A, j)}"
-        print(f"{lhs} = {_fmt_combo(A, A.mult[i, j])}", file=out)
+        lhs = f"{labels[i]} * {labels[j]}"
+        print(f"{lhs} = {_fmt_combo(A.mult[i, j], labels.__getitem__)}", file=out)
     return 0
 
 
@@ -358,29 +367,53 @@ def _cmd_coxeter_eq(args, out) -> int:
     return 0 if same else 3
 
 
-def _zigzag_setup(path: str):
-    g = _load_graph(path)
+def _zigzag(g: CoxeterGraph) -> tuple[ZigzagAlgebra, UnfoldedGraph]:
     u = unfold(g)
-    return g, u, build_zigzag(u)
+    return build_zigzag(u), u
+
+
+def _word_problem_setup(path: str):
+    """The graph of a word problem, and a function that unfolds it and
+    builds its zigzag algebra on the first call only.  The ring is built
+    here, so that a ring over budget is refused before any word is read."""
+    g = _load_graph(path)
+    coxeter_fusion_ring(g)
+    return g, functools.cache(lambda: _zigzag(g))
+
+
+def _identity(g: CoxeterGraph, algebra, word) -> bool:
+    """is_identity_word, with the algebra built only for a word that its
+    folded Burau matrix passes."""
+    return burau_shift(g, word) == (1, 0) and is_identity_word(*algebra(), word)
+
+
+def _shift(g: CoxeterGraph, algebra, word, pure: bool):
+    """recognize_shift, with the algebra built only for a word whose
+    folded Burau matrix is one uniform +-q^b, with b = 0 in pure mode."""
+    shift = burau_shift(g, word)
+    if shift is None or (pure and shift[1] != 0):
+        return None
+    return recognize_shift(*algebra(), word, pure=pure)
 
 
 def _cmd_word_eq(args, out) -> int:
-    _, u, A = _zigzag_setup(args.graph)
-    same = words_equal(A, u, _parse_word(args.first), _parse_word(args.second))
+    g, algebra = _word_problem_setup(args.graph)
+    first, second = _parse_word(args.first), _parse_word(args.second)
+    same = _identity(g, algebra, quotient_word(first, second))
     print("equal" if same else "not equal", file=out)
     return 0 if same else 3
 
 
 def _cmd_is_identity(args, out) -> int:
-    _, u, A = _zigzag_setup(args.graph)
-    same = is_identity_word(A, u, _parse_word(args.word))
+    g, algebra = _word_problem_setup(args.graph)
+    same = _identity(g, algebra, _parse_word(args.word))
     print("identity" if same else "not identity", file=out)
     return 0 if same else 3
 
 
 def _cmd_shift_type(args, out) -> int:
-    _, u, A = _zigzag_setup(args.graph)
-    res = recognize_shift(A, u, _parse_word(args.word), pure=args.pure)
+    g, algebra = _word_problem_setup(args.graph)
+    res = _shift(g, algebra, _parse_word(args.word), args.pure)
     if res is None:
         print("not a shift", file=out)
         return 3
@@ -402,7 +435,7 @@ def _resolve_on(u: UnfoldedGraph, target: str) -> int:
 
 
 def _cmd_act(args, out) -> int:
-    _, u, A = _zigzag_setup(args.graph)
+    A, u = _zigzag(_load_graph(args.graph))
     letters = _parse_word(args.word)
     c = projective_complex(A, _resolve_on(u, args.on), args.shift, args.deg)
     result = apply_braid_word(A, u, letters, c)
@@ -414,10 +447,11 @@ def _cmd_act(args, out) -> int:
             f"P[{_vertex_name(A, v)}]<{k}>" for v, k in result.terms[i]
         )
         print(f"deg {i}: {summands}", file=out)
+    label = functools.partial(path_label, A)
     for i in sorted(result.diffs):
         for r, row in enumerate(result.diffs[i]):
             for c2 in sorted(row):
-                print(f"d[{i}][{r}->{c2}] = {_fmt_combo(A, row[c2])}", file=out)
+                print(f"d[{i}][{r}->{c2}] = {_fmt_combo(row[c2], label)}", file=out)
     return 0
 
 
@@ -469,24 +503,26 @@ def _alternating(s: str, t: str, m: int) -> tuple:
 
 
 def _cmd_check_relations(args, out) -> int:
-    g, u, A = _zigzag_setup(args.graph)
+    g, algebra = _word_problem_setup(args.graph)
+
+    def equal(first, second):
+        return _identity(g, algebra, quotient_word(first, second))
+
     checks = []
     for i in range(g.rank):
         for j in range(i + 1, g.rank):
             s, t = g.vertices[i], g.vertices[j]
             m = g.label(i, j)
             if m == 2:
-                ok = words_equal(A, u, (s, t), (t, s))
-                checks.append((f"commute {s} {t}", ok))
+                checks.append((f"commute {s} {t}", equal((s, t), (t, s))))
             elif m == INF:
-                ok = not words_equal(A, u, (s, t), (t, s))
-                checks.append((f"distinguish {s} {t} m=inf", ok))
+                checks.append((f"distinguish {s} {t} m=inf", not equal((s, t), (t, s))))
             else:
-                ok = words_equal(A, u, _alternating(s, t, m), _alternating(t, s, m))
+                ok = equal(_alternating(s, t, m), _alternating(t, s, m))
                 checks.append((f"braid {s} {t} m={m}", ok))
     for s in g.vertices:
-        ok = is_identity_word(A, u, ((s, 1), (s, -1))) and is_identity_word(
-            A, u, ((s, -1), (s, 1))
+        ok = _identity(g, algebra, ((s, 1), (s, -1))) and _identity(
+            g, algebra, ((s, -1), (s, 1))
         )
         checks.append((f"inverse {s}", ok))
     for desc, ok in checks:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 from .coxgraph import INF, CoxeterGraph
 
@@ -62,6 +62,14 @@ class FusionElement:
         return FusionElement(tuple(-c for c in self.coefficients))
 
 
+# Ring caches are bounded: a rank-120 ring holds a table of ~1.7M
+# entries, and a loop over many graphs must not keep every ring.  The
+# bounds leave room for every graph that one process of the benchmark
+# workloads touches (at most 14 rings, 6 TLJ labels and 4 odd labels).
+RING_CACHE_SIZE = 32
+TLJ_CACHE_SIZE = 16
+
+
 def _chebyshev_dims(n: int, labels: range) -> tuple[float, ...]:
     d = 2.0 * math.cos(math.pi / n)
     delta = [1.0, d]
@@ -70,7 +78,7 @@ def _chebyshev_dims(n: int, labels: range) -> tuple[float, ...]:
     return tuple(delta[k] for k in labels)
 
 
-@cache
+@lru_cache(maxsize=TLJ_CACHE_SIZE)
 def tlj_ring(n: int) -> FusionRing:
     """The rank-(n-1) ring with simples Pi0..Pi_{n-2} and truncated fusion."""
     if n < 3:
@@ -99,7 +107,7 @@ def tlj_ring(n: int) -> FusionRing:
     )
 
 
-@cache
+@lru_cache(maxsize=TLJ_CACHE_SIZE)
 def tlj_even_ring(n: int) -> FusionRing:
     """The even-labelled subring of tlj_ring(n); only defined for odd n."""
     if n < 3 or n % 2 == 0:
@@ -171,7 +179,7 @@ def _factor_ranks(labels) -> list[int]:
     return sizes
 
 
-@cache
+@lru_cache(maxsize=RING_CACHE_SIZE)
 def coxeter_fusion_ring(g: CoxeterGraph) -> FusionRing:
     """Product of one TLJ factor per distinct finite edge label, increasing.
 

@@ -55,14 +55,27 @@ object in the fusion category, so P_(s,E) = P_(s,1) (x) E, and the
 twists along one fiber commute with - (x) E up to isomorphism.  A word
 that fixes, or shifts by [a]<b>, every P_(s,1) therefore does the same
 to every projective.
+
+Before any complex is built, the folded Burau matrix may reject the
+word.  The class of a complex in K_0 is its Burau column, so a word that
+fixes every P_(s,1) has e_s as column s of burau_word(g, ring, word),
+and one that acts as [a]<b> has (-1)^a q^b e_s there.  burau_shift reads
+that common (sign, b) off the matrix, or None; a word whose matrix is not
+of that form is answered "no" at once, and builds no complex.  The
+matrix only ever rejects: the Burau representation is not faithful in
+general (Bigelow, "The Burau representation is not faithful for n = 5",
+1999), so a word it passes goes on to the twists, which alone accept.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .coxgraph import InvariantError, braid_letters
+from .coxgraph import CoxeterGraph, InvariantError, braid_letters
+from .fusion import FusionElement, coxeter_fusion_ring
+from .lattice import burau_word
 from .unfolding import UnfoldedGraph, fiber
 from .zigzag import (
     Combo,
@@ -495,6 +508,40 @@ def complex_class(A: ZigzagAlgebra, c: Complex):
     )
 
 
+def burau_shift(g: CoxeterGraph, word) -> tuple[int, int] | None:
+    """(sign, b) when column s of the folded Burau matrix of the word is
+    sign q^b e_s for every base vertex s, with one (sign, b) for all;
+    None otherwise.
+
+    A word that acts on every P_(s,1) as the shift [a]<b> has
+    sign = (-1)^a here, so None, or any other (sign, b), rules that
+    shift out.  The converse fails (see the module docstring): this
+    test only ever rejects.  The verdict is kept for the last few
+    (graph, word) pairs, so a caller that asks before it builds the
+    zigzag algebra, and the word problem it then runs, share one matrix.
+    """
+    return _burau_shift(g, braid_letters(word))
+
+
+@lru_cache(maxsize=16)
+def _burau_shift(g: CoxeterGraph, letters) -> tuple[int, int] | None:
+    ring = coxeter_fusion_ring(g)
+    entries = burau_word(g, ring, letters).entries
+    if not entries:
+        return (1, 0)  # no base vertex: nothing to reject
+    if len(entries[0][0]) != 1:
+        return None
+    ((b, corner),) = entries[0][0]
+    sign = corner.coefficients[ring.unit_index]
+    unit = FusionElement.unit(ring)
+    diagonal = ((b, unit if sign == 1 else -unit),)
+    want = tuple(
+        tuple(diagonal if r == c else () for c in range(len(entries)))
+        for r in range(len(entries))
+    )
+    return (sign, b) if entries == want else None
+
+
 def _unit_starts(u: UnfoldedGraph) -> tuple[int, ...]:
     """Index of (s, 1) for each base vertex s, 1 being the ring's unit:
     the starts P_(s,1) of the word problems."""
@@ -502,18 +549,29 @@ def _unit_starts(u: UnfoldedGraph) -> tuple[int, ...]:
     return tuple(u.index((s, unit)) for s in u.base.vertices)
 
 
+def _unit_images(A: ZigzagAlgebra, u: UnfoldedGraph, word):
+    """The unit-start sweep: (x, the image of P_x under the word) for
+    each start x, lazily, so a verdict can stop at the first start that
+    decides it."""
+    plan = _fiber_plan(u, word)
+    for x in _unit_starts(u):
+        yield x, _apply_plan(A, plan, projective_complex(A, x))
+
+
 def is_identity_word(A: ZigzagAlgebra, u: UnfoldedGraph, word) -> bool:
     """Whether the word acts trivially on every projective.  This
     decides equality in the group generated by the twists themselves.
 
-    Only the unit fiber is swept: P_(s,E) = P_(s,1) (x) E, and the fiber
-    twists commute with - (x) E up to isomorphism, so a word that fixes
-    every P_(s,1) fixes every projective.
+    A word whose folded Burau matrix is not the identity is rejected
+    before any complex is built.  Only the twists accept, and they sweep
+    the unit fiber only: P_(s,E) = P_(s,1) (x) E, and the fiber twists
+    commute with - (x) E up to isomorphism, so a word that fixes every
+    P_(s,1) fixes every projective.
     """
-    plan = _fiber_plan(u, word)
+    if burau_shift(u.base, word) != (1, 0):
+        return False
     return all(
-        _apply_plan(A, plan, projective_complex(A, x)) == projective_complex(A, x)
-        for x in _unit_starts(u)
+        out == projective_complex(A, x) for x, out in _unit_images(A, u, word)
     )
 
 
@@ -521,14 +579,17 @@ def recognize_shift(A: ZigzagAlgebra, u: UnfoldedGraph, word, pure: bool = False
     """(a, b) when the word acts as the shift [a]<b> on every
     projective, None otherwise; pure mode only accepts b = 0.
 
-    As in is_identity_word, the shift is read off the unit fiber: the
-    twists commute with - (x) E, so the word shifts P_(s,E) = P_(s,1) (x) E
-    exactly as it shifts P_(s,1).
+    The folded Burau matrix rejects first, unless it is one uniform
+    +-q^b, with b = 0 in pure mode.  The twists then compute the exact
+    [a]<b>, read off the unit fiber as in is_identity_word: they commute
+    with - (x) E, so the word shifts P_(s,E) = P_(s,1) (x) E exactly as
+    it shifts P_(s,1).
     """
-    plan = _fiber_plan(u, word)
+    shift = burau_shift(u.base, word)
+    if shift is None or (pure and shift[1] != 0):
+        return None
     result = None
-    for x in _unit_starts(u):
-        out = _apply_plan(A, plan, projective_complex(A, x))
+    for x, out in _unit_images(A, u, word):
         if len(out.terms) != 1:
             return None
         ((deg, summands),) = out.terms.items()
@@ -544,10 +605,15 @@ def recognize_shift(A: ZigzagAlgebra, u: UnfoldedGraph, word, pure: bool = False
     return result
 
 
-def words_equal(A: ZigzagAlgebra, u: UnfoldedGraph, first, second) -> bool:
-    """Compare two words by checking that first . second^{-1} acts
-    trivially."""
+def quotient_word(first, second) -> tuple[tuple[str, int], ...]:
+    """The letters of first . second^{-1}."""
     inv = tuple(
         (name, -exp) for name, exp in reversed(braid_letters(second))
     )
-    return is_identity_word(A, u, braid_letters(first) + inv)
+    return braid_letters(first) + inv
+
+
+def words_equal(A: ZigzagAlgebra, u: UnfoldedGraph, first, second) -> bool:
+    """Compare two words by checking that first . second^{-1} acts
+    trivially."""
+    return is_identity_word(A, u, quotient_word(first, second))

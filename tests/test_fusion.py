@@ -424,3 +424,27 @@ def test_tlj_invariants_for_random_n(n):
     # fpdim symmetry under the top simple
     for k in range(size):
         assert abs(r.fpdim[k] - r.fpdim[size - 1 - k]) < 1e-9
+
+
+def test_ring_caches_stay_bounded_over_many_graphs():
+    # a loop over more distinct graphs and labels than the caches hold
+    # keeps each cache at its bound, and an evicted ring rebuilds equal
+    caches = (
+        (coxeter_fusion_ring, fusion.RING_CACHE_SIZE),
+        (tlj_ring, fusion.TLJ_CACHE_SIZE),
+        (tlj_even_ring, fusion.TLJ_CACHE_SIZE),
+    )
+    first = coxeter_fusion_ring(parse_graph(graph_json(["s", "t"], [("s", "t", 5)])))
+    graphs = [parse_graph(graph_json([f"v{k}"], [])) for k in range(2 * fusion.RING_CACHE_SIZE)]
+    graphs += [
+        parse_graph(graph_json(["s", "t"], [("s", "t", m)]))
+        for m in range(3, 3 + 2 * fusion.TLJ_CACHE_SIZE + 2)
+    ]
+    for g in graphs:
+        assert coxeter_fusion_ring(g).rank >= 1
+        for cached, size in caches:
+            info = cached.cache_info()
+            assert info.maxsize == size and info.currsize <= size
+    assert all(cached.cache_info().currsize == size for cached, size in caches)
+    again = coxeter_fusion_ring(parse_graph(graph_json(["s", "t"], [("s", "t", 5)])))
+    assert again == first

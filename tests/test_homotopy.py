@@ -19,6 +19,7 @@ from coxtwist.homotopy import (
     Complex,
     _check_complex,
     apply_braid_word,
+    burau_shift,
     complex_class,
     dual_twist,
     gaussian_eliminate,
@@ -1341,6 +1342,24 @@ PINNED_COMMANDS = [
      "43c9908c6e7346de27e089c55d627627050b52c2d3a76e2bcbb75835bd17d5e6"),
     ("rank2_inf", ["act", "t s^-1 t s^-1 t s^-1 t", "--on", "t"], 0,
      "c52f2afe00b0800281ed92eaf4675faeea548954c876aebd2b9fddf57a8177cd"),
+    ("rank2_inf", ["is-identity", " ".join(["s s t^-1 t^-1"] * 4)], 3,
+     "5dc9f13017a4b0c3829aa63759fc947572d87b4f486ee3f5c4d77e854d98fd92"),
+    ("rank2_inf", ["is-identity", "s t s^-1 t^-1"], 3,
+     "5dc9f13017a4b0c3829aa63759fc947572d87b4f486ee3f5c4d77e854d98fd92"),
+    ("rank2_inf", ["is-identity", "s t t^-1 s^-1"], 0,
+     "560ee359cf3259353f1bc53e0c8add2aec9ec79cf533cbb5385423e42a34822a"),
+    ("rank2_inf", ["word-eq", "s t", "t s"], 3,
+     "56403957ef1777cf667726c8d0824fdc9a4641b3d8e48a8dc9a2ec632491cb93"),
+    ("rank2_inf", ["word-eq", "s t^-1 s", "s t^-1 s"], 0,
+     "1907d592edca123512edf021ad7230b31ee3b68b2e38b78b07acd5e85256a3d6"),
+    ("rank2_inf", ["shift-type", "s t^-1 s t^-1"], 3,
+     "46c6f4af2093598bacf8ecc2b5fbfc1e1a092d228ef9b3c83609880c773b33bb"),
+    ("rank2_inf", ["shift-type", ""], 0,
+     "94fd2007a6fe44cb1c0e8e915b23a5a74c2f893ceecafdd1b2d2736d326d66fe"),
+    ("rank2_inf", ["shift-type", "s s", "--pure"], 3,
+     "46c6f4af2093598bacf8ecc2b5fbfc1e1a092d228ef9b3c83609880c773b33bb"),
+    ("rank2_inf", ["check-relations"], 0,
+     "600d620f6fec08160fdcb2ce51e0bf83481100c1f4401a5900a39b5eb513e55e"),
 ]
 
 
@@ -1355,3 +1374,138 @@ def test_twist_commands_are_pinned(tmp_path):
             code,
             digest,
         ), (name, cmd, rest)
+
+
+# The folded Burau matrix decides "no" before any complex is built.  Its
+# column s is the class of w . P_(s,1), on the folded lattice, which is
+# what makes the early "no" exact.
+@st.composite
+def burau_column_cases(draw):
+    name = draw(st.sampled_from(sorted(PLAN_GRAPHS)))
+    g, u, A = plan_setup(name)
+    letter = st.tuples(st.sampled_from(g.vertices), st.sampled_from((1, -1)))
+    word = tuple(draw(st.lists(letter, max_size=MAX_PLAN_LETTERS.get(name, 6))))
+    return name, word, draw(st.sampled_from(g.vertices))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=burau_column_cases())
+def test_folded_burau_column_is_the_class_of_the_unit_start(case):
+    name, word, s = case
+    g, u, A = plan_setup(name)
+    mat = burau_word(g, coxeter_fusion_ring(g), word)
+    unit = u.ring.basis[u.ring.unit_index]
+    out = apply_braid_word(A, u, word, projective_complex(A, u.index((s, unit))))
+    assert complex_class(A, out) == burau_column(mat, g.index(s))
+
+
+def commutator(s, t):
+    return ((s, 1), (t, 1), (s, -1), (t, -1))
+
+
+@st.composite
+def verdict_cases(draw):
+    name = draw(st.sampled_from(sorted(SWEEP_GRAPHS)))
+    g, _, _ = sweep_setup(name)
+    cap = MAX_LETTERS.get(name, 3)
+    letter = st.tuples(st.sampled_from(g.vertices), st.sampled_from((1, -1)))
+    word = tuple(draw(st.lists(letter, max_size=cap)))
+    if draw(st.booleans()):
+        # a conjugated commutator: trivial exactly for commuting letters
+        s, t = draw(st.sampled_from(g.vertices)), draw(st.sampled_from(g.vertices))
+        word = word + commutator(s, t) + inverse_word(word)
+    return name, word
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=verdict_cases())
+def test_burau_first_verdicts_equal_the_twist_only_verdicts(case):
+    name, word = case
+    _, u, A = sweep_setup(name)
+    images = full_sweep(A, u, word)
+    identity = ref_is_identity(A, images)
+    assert is_identity_word(A, u, word) == identity
+    assert words_equal(A, u, word, ()) == identity
+    for pure in (False, True):
+        assert recognize_shift(A, u, word, pure) == ref_shift(images, pure)
+    # the matrix only rejects: a word the twists accept always passes it
+    shift = ref_shift(images)
+    if shift is not None:
+        a, b = shift
+        assert burau_shift(u.base, word) == ((-1) ** a, b)
+
+
+class BuiltAComplex(Exception):
+    pass
+
+
+@pytest.fixture
+def no_complexes(monkeypatch):
+    """Make unfolding, the zigzag build, the cone and every projective
+    start raise BuiltAComplex if they are called."""
+
+    def refuse(*args, **kwargs):
+        raise BuiltAComplex(args)
+
+    for module, name in (
+        (cli, "unfold"),
+        (cli, "build_zigzag"),
+        (homotopy, "_cone"),
+        (homotopy, "projective_complex"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+
+
+REJECTED_COMMANDS = [
+    ("l579", ["is-identity", "a b a^-1 b^-1"], "not identity\n"),
+    ("l579", ["word-eq", "b c", "c b"], "not equal\n"),
+    ("l579", ["shift-type", "a"], "not a shift\n"),
+    ("a2", ["shift-type", "s t s s t s", "--pure"], "not a shift\n"),
+    ("rank2_inf", ["is-identity", " ".join(["s s t^-1 t^-1"] * 5)], "not identity\n"),
+    ("rank2_inf", ["word-eq", "s t", "t s"], "not equal\n"),
+]
+
+
+@pytest.mark.parametrize("name, argv, stdout", REJECTED_COMMANDS)
+def test_burau_rejected_commands_build_no_complex(no_complexes, tmp_path, name, argv, stdout):
+    path = tmp_path / f"{name}.json"
+    path.write_text(PLAN_GRAPHS[name])
+    res = cli.run([argv[0], str(path), *argv[1:]])
+    assert (res.exit_code, res.stdout) == (3, stdout)
+
+
+def test_burau_rejected_words_build_no_complex_in_the_library(monkeypatch):
+    g, u, A = plan_setup("l579")
+    rejected = commutator("a", "b")
+    assert burau_shift(g, rejected) is None
+    # the full twist of a2 shifts by [4]<6>: the matrix passes it as a
+    # shift, but not as the identity, nor as a pure shift
+    full = alternating("s", "t", 3) * 2
+    g2, u2, A2 = plan_setup("a2")
+    assert burau_shift(g2, full) == (1, 6)
+    with monkeypatch.context() as m:
+        m.setattr(homotopy, "_cone", lambda *args: pytest.fail("cone built"))
+        m.setattr(homotopy, "projective_complex", lambda *args: pytest.fail("start built"))
+        assert not is_identity_word(A, u, rejected)
+        assert not words_equal(A, u, ("b", "c"), ("c", "b"))
+        assert recognize_shift(A, u, rejected) is None
+        assert not is_identity_word(A2, u2, full)
+        assert recognize_shift(A2, u2, full, pure=True) is None
+    assert recognize_shift(A2, u2, full) == (4, 6)
+
+
+def test_burau_shift_reads_the_common_diagonal():
+    g, _, _ = plan_setup("a2")
+    assert burau_shift(g, ()) == (1, 0)
+    assert burau_shift(g, ("s", ("s", -1))) == (1, 0)
+    assert burau_shift(g, ("s",)) is None
+    # a single vertex: s acts on P_s as [1]<2>, with class -q^2
+    g1, _, _ = single_vertex()
+    assert burau_shift(g1, ("s",)) == (-1, 2)
+    assert burau_shift(g1, (("s", -1),)) == (-1, -2)
+    # no base vertex: nothing to reject, and the twists decide
+    empty = parse_graph(graph_json([], []))
+    assert burau_shift(empty, ()) == (1, 0)
+    u = unfold(empty)
+    A = build_zigzag(u)
+    assert is_identity_word(A, u, ()) and recognize_shift(A, u, ()) is None
