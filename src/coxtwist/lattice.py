@@ -13,18 +13,38 @@ its ring so specialization needs no extra argument.
 
 A Burau generator sigma_s differs from the identity only in row s, and
 a simple reflection only in the ring.rank rows of its vertex.  Words,
-Coxeter words and the root walk therefore update those rows (and, for
-conjugates, those columns) alone; `mat_mul` is the dense product the
-tests compare them against.  `coxeter_word_matrix` is a block-row
-product of integer reflections and shares no code with `burau_word`
-or `specialize_q`, so it stays an independent check of the two.
+Coxeter words and the root walk therefore update those rows alone;
+`mat_mul` is the dense product the tests compare them against.
+`coxeter_word_matrix` is a block-row product of integer reflections and
+shares no code with `burau_word` or `specialize_q`, so it stays an
+independent check of the two.
 
 Positive-root enumeration walks the W-orbit of the simple roots in
-layers (the simple roots are layer 1) and keys results on the
-associated reflection, not on the raw vector: for even edge labels the
-lattice carries several vectors over one real root line, and the count
-of root lines is what the orbit is asked for.  The first vector found
-for each reflection is the returned representative.
+layers (the simple roots are layer 1) and returns one vector per root
+line, that is per reflection, not per raw vector: for even edge labels
+the lattice carries several vectors over one real root line, and the
+count of root lines is what the orbit is asked for.  The walk keys a
+line on the root's orbit under the invertible simples G, the simples g
+with g * g = 1, which act on the lattice by permuting coordinates
+within each vertex block.  For roots beta and gamma of the walk,
+s_beta = s_gamma exactly when beta = [g] gamma for some g in G:
+
+- (<=) [g] commutes with W, and B_C([g]x, y) = [g] B_C(x, y) because
+  every simple is self-dual.  So s_[g]beta(v) = v - [g]^2 B_C(beta, v)
+  beta = s_beta(v).
+- (=>) FPdim is a ring map and carries s_beta and s_gamma to real
+  reflections, so equal reflections give equal real roots.  Write
+  beta = w alpha_s and gamma = w' alpha_t, and let u = w'^-1 w.  Then
+  u alpha_s lies over the real simple root of t, and it is nonnegative
+  by sign coherence, so it is [x] alpha_t for a nonnegative ring
+  element x of FPdim 1.  Every simple has FPdim >= 1, so x is one
+  simple g of FPdim 1, an invertible one, and beta = [g] gamma.
+
+Sign coherence is the assumption that every vector of the orbit of a
+simple root is entirely >= 0 or entirely <= 0; the walk also relies on
+it when it drops the vectors with a negative coordinate, and the tests
+check it on the orbits they walk.  The first vector found on each line
+is the returned representative.
 """
 
 from __future__ import annotations
@@ -348,34 +368,37 @@ def _block_rows(block, rows):
     return out
 
 
-def _block_conjugate(block, refl):
-    """(1 + U) refl (1 + U): a row update on the block rows, then a
-    column update from the block columns."""
-    rows = _block_rows(block, refl)
-    out = []
-    for row in rows:
-        new = None
-        for k, urow in block:
-            c = row[k]
-            if c:
-                if new is None:
-                    new = list(row)
-                for j, u in urow:
-                    new[j] += c * u
-        out.append(row if new is None else tuple(new))
-    return tuple(out)
+def _invertible_simples(ring: FusionRing) -> tuple[int, ...]:
+    """The simples g with g * g = 1, in basis order; the unit is one.
+
+    Every simple is self-dual, so these are exactly the invertible
+    simples.  Each permutes the simples by f -> g * f, and the
+    permutation is its own inverse.
+    """
+    unit = ring.N[ring.unit_index][ring.unit_index]
+    return tuple(g for g in range(ring.rank) if ring.N[g][g] == unit)
 
 
 def root_layers(
     g: CoxeterGraph, ring: FusionRing, depth: int
 ) -> list[set[LatticeVector]]:
-    """Orbit layers of the simple roots; one representative per reflection.
+    """Orbit layers of the simple roots; one representative per root line.
 
     Layer 1 is the simple roots themselves, so depth bounds the layer
     count.  Vectors leaving the nonnegative orthant are negative-root
     duplicates and are dropped.  A simple reflection differs from the
-    identity only in the ring.rank rows of its vertex, so images and
-    conjugates are updated on those rows and columns alone.
+    identity only in the ring.rank rows of its vertex, so an image is
+    updated on those rows alone.
+
+    A root line is keyed on the root's orbit under the invertible
+    simples G: two roots of the walk give one reflection exactly when
+    one is [g] times the other for some g in G.  One way, [g] commutes
+    with W and g * g = 1, so [g] beta has the reflection of beta; the
+    other, equal reflections have equal real roots, and by sign
+    coherence two roots over one real root differ by a simple of FPdim
+    1 (the module docstring has the argument).  Accepting a root marks
+    its |G| orbit images as seen, so the first vector found on each line
+    is the one returned.
     """
     if depth <= 0:
         return []
@@ -386,39 +409,39 @@ def root_layers(
         _reflection_block(m, range(vi * nr, (vi + 1) * nr))
         for vi, m in enumerate(mats)
     ]
-    seen_vectors: set[tuple[int, ...]] = set()
-    seen_refls: set[tuple[tuple[int, ...], ...]] = set()
+    # [h] moves block coordinate f to h * f; h * h = 1, so coordinate f
+    # of [h]v is coordinate h * f of v
+    perms = [
+        tuple(b * nr + ring.N[h][f].index(1) for b in range(g.rank) for f in range(nr))
+        for h in _invertible_simples(ring)
+        if h != ring.unit_index
+    ]
+    seen: set[tuple[int, ...]] = set()
+
+    def accept(vec: tuple[int, ...]) -> None:
+        seen.add(vec)
+        seen.update(tuple(map(vec.__getitem__, p)) for p in perms)
+
     frontier = []
-    first: set[LatticeVector] = set()
     for vi in range(g.rank):
         vec = tuple(1 if k == vi * nr else 0 for k in range(n))
-        seen_vectors.add(vec)
-        seen_refls.add(mats[vi])
-        first.add(LatticeVector(vec))
-        frontier.append((vec, mats[vi]))
-    layers = [first]
+        accept(vec)
+        frontier.append(vec)
+    layers = [{LatticeVector(vec) for vec in frontier}]
     for _ in range(depth - 1):
         if not frontier:
             break
-        frontier.sort(key=lambda node: node[0])
+        frontier.sort()
         nxt = []
-        layer: set[LatticeVector] = set()
-        for vec, refl in frontier:
+        for vec in frontier:
             for block in blocks:
                 image = _block_apply(block, vec)
-                if image in seen_vectors:
+                if image in seen or any(c < 0 for c in image):
                     continue
-                seen_vectors.add(image)
-                if any(c < 0 for c in image):
-                    continue
-                conj = _block_conjugate(block, refl)
-                if conj in seen_refls:
-                    continue
-                seen_refls.add(conj)
-                layer.add(LatticeVector(image))
-                nxt.append((image, conj))
-        if layer:
-            layers.append(layer)
+                accept(image)
+                nxt.append(image)
+        if nxt:
+            layers.append({LatticeVector(vec) for vec in nxt})
         frontier = nxt
     return layers
 

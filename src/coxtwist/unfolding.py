@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .coxgraph import INF, CoxeterGraph, GraphError, InvariantError, braid_letters
 from .fusion import FusionRing, coxeter_fusion_ring, edge_object
-from .lattice import mat_mul, simple_reflection_matrix
+from .lattice import coxeter_word_matrix
 
 Vertex = tuple[str, str]
 
@@ -138,11 +138,5 @@ def psi_matrix(u: UnfoldedGraph, s: str) -> tuple[tuple[int, ...], ...]:
     matrix space as the folded reflection at s.
     """
     g2 = u.as_coxeter_graph()
-    ring2 = coxeter_fusion_ring(g2)
-    acc = None
-    for pair in fiber(u, s):
-        m = simple_reflection_matrix(g2, ring2, f"{pair[0]},{pair[1]}")
-        acc = m if acc is None else mat_mul(m, acc)
-    if acc is None:
-        raise InvariantError(f"empty fiber over {s!r}")
-    return acc
+    names = tuple(f"{v},{label}" for v, label in fiber(u, s))
+    return coxeter_word_matrix(g2, coxeter_fusion_ring(g2), names)

@@ -7,14 +7,26 @@ nonnegative vectors but only four distinct reflections, and the
 enumeration counts reflections.
 """
 
+import hashlib
+import json
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coxtwist.coxgraph import GraphError, parse_graph
-from coxtwist import lattice
-from coxtwist.fusion import FusionElement, coxeter_fusion_ring, multiply
+from coxtwist import cli, lattice
+from coxtwist.fusion import (
+    FusionElement,
+    coxeter_fusion_ring,
+    multiply,
+    tlj_even_ring,
+    tlj_ring,
+)
 from coxtwist.lattice import (
     LatticeVector,
     bilinear_form_C,
@@ -33,6 +45,7 @@ from coxtwist.lattice import (
 from coxtwist.unfolding import unfold
 
 from conftest import CORPUS_JSON, graph_json
+from test_coxgraph import random_graphs
 
 
 def vec(*coeffs):
@@ -397,7 +410,7 @@ def sparse_graph(name):
     if name.startswith("unfolded_"):
         g = unfold(parse_graph(CORPUS_JSON[name[len("unfolded_"):]])).as_coxeter_graph()
     else:
-        g = parse_graph({**CORPUS_JSON, **EXTRA_JSON}[name])
+        g = parse_graph({**CORPUS_JSON, **EXTRA_JSON, **WALK_JSON}[name])
     return g, coxeter_fusion_ring(g)
 
 
@@ -449,9 +462,20 @@ def test_burau_word_matches_dense_product(name):
         assert m.entries == dense_burau_word(g, ring, w)
 
 
+def dense_mul(a, b):
+    """Exact product of two int64 matrices; refuses one that could overflow."""
+    assert len(a) * int(abs(a).max()) * int(abs(b).max()) < 2**63
+    return a @ b
+
+
 def dense_root_layers(g, ring, depth):
-    """The orbit walk with full reflection products, as first written."""
+    """The orbit walk with full reflection products, as first written.
+
+    Each root is keyed on its reflection, conjugated by dense products
+    of the whole matrices; numpy only does the integer arithmetic.
+    """
     mats = [simple_reflection_matrix(g, ring, v) for v in g.vertices]
+    arrays = [np.array(m, dtype=np.int64) for m in mats]
     nr = ring.rank
     n = g.rank * nr
     seen_vectors = set()
@@ -461,9 +485,9 @@ def dense_root_layers(g, ring, depth):
     for vi in range(g.rank):
         v = tuple(1 if k == vi * nr else 0 for k in range(n))
         seen_vectors.add(v)
-        seen_refls.add(mats[vi])
+        seen_refls.add(arrays[vi].tobytes())
         first.add(LatticeVector(v))
-        frontier.append((v, mats[vi]))
+        frontier.append((v, arrays[vi]))
     layers = [first]
     for _ in range(depth - 1):
         if not frontier:
@@ -472,17 +496,17 @@ def dense_root_layers(g, ring, depth):
         nxt = []
         layer = set()
         for v, refl in frontier:
-            for m in mats:
+            for m, arr in zip(mats, arrays):
                 image = tuple(sum(row[j] * v[j] for j in range(n)) for row in m)
                 if image in seen_vectors:
                     continue
                 seen_vectors.add(image)
                 if any(c < 0 for c in image):
                     continue
-                conj = lattice.mat_mul(lattice.mat_mul(m, refl), m)
-                if conj in seen_refls:
+                conj = dense_mul(dense_mul(arr, refl), arr)
+                if conj.tobytes() in seen_refls:
                     continue
-                seen_refls.add(conj)
+                seen_refls.add(conj.tobytes())
                 layer.add(LatticeVector(image))
                 nxt.append((image, conj))
         if layer:
@@ -491,14 +515,177 @@ def dense_root_layers(g, ring, depth):
     return layers
 
 
-@pytest.mark.parametrize("name", SPARSE_GRAPHS)
+# rings with several invertible simples (I2(6), I2(8), the 4-6 chain and
+# the rank-4 graph), where one root line carries several lattice vectors,
+# and the rank-24 ring of the 5-7-9 chain
+WALK_JSON = {
+    "i2_6": graph_json("st", [("s", "t", 6)]),
+    "i2_8": graph_json("st", [("s", "t", 8)]),
+    "chain46": graph_json("abc", [("a", "b", 4), ("b", "c", 6)]),
+    "rank4": graph_json(
+        ["v0", "v1", "v2", "v3"],
+        [("v0", "v1", 4), ("v0", "v2", 5), ("v0", "v3", 3), ("v1", "v2", 5),
+         ("v1", "v3", "inf")],
+    ),
+    "l579": graph_json("abcd", [("a", "b", 5), ("b", "c", 7), ("c", "d", 9)]),
+}
+WALK_DEPTHS = {
+    **{name: 12 for name in SPARSE_GRAPHS},
+    "i2_6": 12,
+    "i2_8": 12,
+    "chain46": 7,
+    "rank4": 7,
+    "l579": 5,
+}
+
+
+def check_walk(g, ring, max_depth):
+    # a walk's first d layers are the walk at depth d, so one dense walk
+    # at max_depth is the reference for every depth up to max_depth
+    dense = dense_root_layers(g, ring, max_depth)
+    for depth in range(1, max_depth + 1):
+        assert root_layers(g, ring, depth) == dense[:depth]
+
+
+@pytest.mark.parametrize("name", sorted(WALK_DEPTHS))
 def test_root_layers_match_dense_walk(name):
     g, ring = sparse_graph(name)
-    # a walk's first d layers are the walk at depth d, so one dense walk
-    # at depth 12 is the reference for every depth up to 12
-    dense = dense_root_layers(g, ring, 12)
-    for depth in range(1, 13):
-        assert root_layers(g, ring, depth) == dense[:depth]
+    check_walk(g, ring, WALK_DEPTHS[name])
+
+
+def ring_rank(labels):
+    """The rank of the ring of a graph with these edge labels, before it
+    is built: n - 1 simples for even n, (n - 1) / 2 for odd n, multiplied
+    over the distinct finite labels."""
+    return math.prod(
+        n - 1 if n % 2 == 0 else (n - 1) // 2 for n in set(labels) if n != "inf"
+    )
+
+
+def check_invertible_simples(ring):
+    """The walk's invertible simples are the simples of FPdim 1; each
+    squares to the unit and permutes the simples."""
+    inv = lattice._invertible_simples(ring)
+    assert inv == tuple(k for k, d in enumerate(ring.fpdim) if abs(d - 1) <= 1e-12)
+    unit = FusionElement.unit(ring).coefficients
+    for h in inv:
+        assert ring.N[h][h] == unit
+        images = []
+        for f in range(ring.rank):
+            row = ring.N[h][f]
+            assert sorted(row) == [0] * (ring.rank - 1) + [1]
+            images.append(row.index(1))
+        assert sorted(images) == list(range(ring.rank))
+    return inv
+
+
+def orbit(ring, inv, v):
+    """{[h] v : h invertible}, with [h] read off the structure constants."""
+    nr = ring.rank
+    out = set()
+    for h in inv:
+        image = [0] * len(v)
+        for k, c in enumerate(v):
+            b, e = divmod(k, nr)
+            for f, x in enumerate(ring.N[h][e]):
+                image[b * nr + f] += c * x
+        out.add(tuple(image))
+    return out
+
+
+def check_one_vector_per_orbit(g, ring, depth):
+    inv = check_invertible_simples(ring)
+    seen = set()
+    for layer in root_layers(g, ring, depth):
+        for root in layer:
+            images = orbit(ring, inv, root.coefficients)
+            assert root.coefficients in images
+            assert not images & seen
+            seen |= images
+
+
+@pytest.mark.parametrize("name", sorted(WALK_DEPTHS))
+def test_walk_keeps_one_vector_per_invertible_orbit(name):
+    g, ring = sparse_graph(name)
+    check_one_vector_per_orbit(g, ring, min(WALK_DEPTHS[name], 8))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_invertible_simples_of_tlj_rings(n):
+    check_invertible_simples(tlj_ring(n))
+    if n % 2:
+        check_invertible_simples(tlj_even_ring(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=random_graphs(), depth=st.integers(min_value=1, max_value=6))
+def test_root_layers_match_dense_walk_on_random_graphs(data, depth):
+    vertices, edges = data
+    assume(ring_rank(m for _, _, m in edges) <= 6)
+    g = parse_graph(graph_json(vertices, edges))
+    ring = coxeter_fusion_ring(g)
+    assert ring.rank == ring_rank(m for _, _, m in edges)
+    check_walk(g, ring, depth)
+    check_one_vector_per_orbit(g, ring, depth)
+
+
+# stdout and exit code of the commands that walk roots, pinned by SHA-256;
+# a change to how the walk keys its root lines must leave every byte as
+# it was.  Each "wall" charge vanishes on a root of the second layer:
+# the FPdim images of those roots are (1, sqrt 2, 0) on chain45,
+# (1, sqrt 3, 0) on g2_affine and (1, 1.8019..., 0) on c73.
+PINNED_CHARGES = {
+    ("chain45", "generic"): {"s": [0.3, 1.1], "t": [-0.7, 0.4], "u": [0.2, 0.9]},
+    ("chain45", "wall"): {"s": [1.4142135623730951, 0.0], "t": [-1.0, 0.0], "u": [0.2, 0.9]},
+    ("g2_affine", "generic"): {"a": [0.3, 1.1], "b": [-0.7, 0.4], "c": [0.2, 0.9]},
+    ("g2_affine", "wall"): {"a": [1.7320508075688783, 0.0], "b": [-1.0, 0.0], "c": [0.2, 0.9]},
+    ("c73", "generic"): {"a": [0.3, 1.1], "b": [-0.7, 0.4], "c": [0.2, 0.9]},
+    ("c73", "wall"): {"a": [1.8019377358048394, 0.0], "b": [-1.0, 0.0], "c": [0.2, 0.9]},
+}
+PINNED_ROOT_COMMANDS = [
+    ("chain45", ["roots", "--depth", "8"], 0,
+     "c16e223ac58dfc22aaaf15c02c031806f991074b5d2f6e4c15d3f7888266ca61"),
+    ("g2_affine", ["roots", "--depth", "10"], 0,
+     "55798f91e476b0bfd7e20bf4fad025544cad6bb7df48956ea9f88e250ba501d2"),
+    ("c73", ["roots", "--depth", "10"], 0,
+     "543b3a97a3bcd7cf31db283c9e511946d33e0cf4d3cb321ef8ca455b4481e412"),
+    ("h4", ["roots", "--depth", "23"], 0,
+     "098f9d8df022db63c010a31e6943ff6322a464afd8557ef0b8838601b4284bf0"),
+    ("f4", ["roots", "--depth", "8"], 0,
+     "383bd5b25aa00a09ec1665f6fd7acbfd70c4866a107b629fb80e14e081b4dbcb"),
+    ("chain46", ["roots", "--depth", "6"], 0,
+     "f539ec312c2f1d0fe44d31dc0961a7066286241c3d24a5f3d01ce9bd04795a27"),
+    ("rank4", ["roots", "--depth", "8"], 0,
+     "c8282d6ea5e6f2d81f3d4ee89522072040359ef596f7437fd7b1537db5d4ce51"),
+    ("chain45", ["regular-check", "generic"], 0,
+     "ddfe193d4e050835ea97540067bbab79094ef3cc2ecf6a9269048287d416fcff"),
+    ("chain45", ["regular-check", "wall"], 3,
+     "2325d36ba6d7dae5c9385af4b32b349c2e3433cbff34a28543faf5be009b09d7"),
+    ("g2_affine", ["regular-check", "generic"], 0,
+     "ddfe193d4e050835ea97540067bbab79094ef3cc2ecf6a9269048287d416fcff"),
+    ("g2_affine", ["regular-check", "wall"], 3,
+     "2325d36ba6d7dae5c9385af4b32b349c2e3433cbff34a28543faf5be009b09d7"),
+    ("c73", ["regular-check", "generic"], 0,
+     "ddfe193d4e050835ea97540067bbab79094ef3cc2ecf6a9269048287d416fcff"),
+    ("c73", ["regular-check", "wall"], 3,
+     "2325d36ba6d7dae5c9385af4b32b349c2e3433cbff34a28543faf5be009b09d7"),
+]
+
+
+def test_root_commands_are_pinned(tmp_path):
+    texts = {**CORPUS_JSON, **EXTRA_JSON, **WALK_JSON}
+    for name, (cmd, *rest), code, digest in PINNED_ROOT_COMMANDS:
+        graph = tmp_path / f"{name}.json"
+        graph.write_text(texts[name])
+        if cmd == "regular-check":
+            charge = tmp_path / f"{name}_{rest[0]}.json"
+            charge.write_text(json.dumps(PINNED_CHARGES[name, rest[0]]))
+            rest = ["--charge", str(charge)]
+        res = cli.run([cmd, str(graph), *rest])
+        assert (res.exit_code, hashlib.sha256(res.stdout.encode()).hexdigest()) == (
+            code,
+            digest,
+        ), (name, cmd, rest)
 
 
 def random_words(g, rng, signed, count=5):
