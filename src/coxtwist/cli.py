@@ -48,7 +48,7 @@ from .homotopy import (
     quotient_word,
     recognize_shift,
 )
-from .lattice import burau_word, coxeter_word_equal, root_layers, specialize_q
+from .lattice import burau_word, coxeter_word_equal, root_walk, specialize_q
 from .unfolding import UnfoldedGraph, unfold
 from .zigzag import ZigzagAlgebra, build_zigzag, path_label
 
@@ -285,8 +285,8 @@ def _cmd_fusion_table(args, out) -> int:
     print("simples: " + " ".join(ring.basis), file=out)
     for lab, d in zip(ring.basis, ring.fpdim):
         print(f"fpdim {lab}: {d:.15g}", file=out)
-    for a, row in zip(ring.basis, ring.N):
-        for b, coefficients in zip(ring.basis, row):
+    for j, a in enumerate(ring.basis):
+        for b, coefficients in zip(ring.basis, ring.plane(j)):
             prod = _fmt_element(ring, FusionElement(coefficients))
             print(f"{a} * {b} = {prod}", file=out)
     return 0
@@ -345,15 +345,17 @@ def _cmd_burau(args, out) -> int:
 
 def _cmd_roots(args, out) -> int:
     g = _load_graph(args.graph)
-    ring = coxeter_fusion_ring(g)
-    # one extra layer tells whether the enumeration was exhaustive
-    probe = root_layers(g, ring, args.depth + 1)
-    layers = probe[: args.depth]
-    roots = sorted(r.coefficients for layer in layers for r in layer)
+    roots, truncated = [], "no"
+    # the walk is read up to its first root past the depth, if any
+    for layer, root in root_walk(g, coxeter_fusion_ring(g)):
+        if layer > args.depth:
+            truncated = "yes"
+            break
+        roots.append(root.coefficients)
     print(f"depth: {args.depth}", file=out)
     print(f"count: {len(roots)}", file=out)
-    print("truncated: " + ("yes" if len(probe) > len(layers) else "no"), file=out)
-    for coeffs in roots:
+    print(f"truncated: {truncated}", file=out)
+    for coeffs in sorted(roots):
         print("root: " + " ".join(str(c) for c in coeffs), file=out)
     return 0
 

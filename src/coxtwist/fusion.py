@@ -1,39 +1,83 @@
 """Fusion rings of Temperley-Lieb-Jones type and the ring attached to a graph.
 
-A fusion ring is stored as an ordered basis of simple labels, a dense
-structure-constant tensor N[i][j][k], and the list of FP-dimensions.
-Everything here is an immutable value; structure constants are exact
-integers, FP-dimensions are floats from the closed Chebyshev form
-Delta_k evaluated at 2cos(pi/n).
+Every ring here is a Deligne product of TLJ factors, and a FusionRing
+holds only those factors: one (n, labels) pair per factor, first factor
+slowest, where labels are all of 0..n-2 (TLJ_n) or only the even ones
+(its even part).  Rings compare by their factors.  The rest is derived:
+
+- the basis is one label per factor, "Pi0", "Pi1", ... joined with "*"
+  across factors, first factor slowest, which fixes the basis order
+  every downstream lattice inherits;
+- the FP-dimensions are products of the closed Chebyshev form Delta_k
+  evaluated at 2cos(pi/n), as floats;
+- the structure constants are read one plane at a time: plane(j) is the
+  matrix N[j][f][e], the Kronecker product of the factors' planes, each
+  from the truncated Clebsch-Gordan rule.  A plane is built on first
+  access and kept on the ring; no rank**3 table is ever built.
 
 The ring attached to a Coxeter graph is the product over its distinct
 finite edge labels n of TLJ_n (n even) or its even part (n odd); with no
-finite labels at all it degenerates to the rank-one ring.  The simple
-labels are "Pi0", "Pi1", ... within one factor and join with "*" across
-factors, first factor slowest, which fixes the basis order every
-downstream lattice inherits.
+finite labels at all it degenerates to the rank-one ring.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .coxgraph import INF, CoxeterGraph
 
 
 @dataclass(frozen=True)
 class FusionRing:
-    basis: tuple[str, ...]
-    unit_index: int
-    N: tuple[tuple[tuple[int, ...], ...], ...]
-    fpdim: tuple[float, ...]
+    factors: tuple[tuple[int, range], ...]
+    _planes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
+    unit_index = 0  # Pi0*...*Pi0
+
+    @cached_property
+    def basis(self) -> tuple[str, ...]:
+        labels = (labels for _, labels in self.factors)
+        return tuple("*".join(f"Pi{k}" for k in t) for t in itertools.product(*labels))
+
+    @cached_property
+    def fpdim(self) -> tuple[float, ...]:
+        dims = (_chebyshev_dims(n, labels) for n, labels in self.factors)
+        return tuple(map(math.prod, itertools.product(*dims)))
+
+    @cached_property
     def rank(self) -> int:
-        return len(self.basis)
+        return math.prod(len(labels) for _, labels in self.factors)
+
+    def plane(self, j: int) -> tuple[tuple[int, ...], ...]:
+        """N[j]: row f holds the coefficients of simple j * simple f."""
+        if j not in self._planes:
+            self._planes[j] = _plane(self.factors, j)
+        return self._planes[j]
+
+
+def _fuses(n: int, a: int, b: int, c: int) -> int:
+    """N[a][b][c] of TLJ_n, by the truncated Clebsch-Gordan rule."""
+    ok = abs(a - b) <= c <= min(a + b, 2 * (n - 2) - (a + b)) and (c - a - b) % 2 == 0
+    return 1 if ok else 0
+
+
+def _plane(factors, j: int) -> tuple[tuple[int, ...], ...]:
+    """Plane j of the product of these factors: the Kronecker product of
+    each factor's plane at j's label in that factor."""
+    digits = []
+    for _, labels in reversed(factors):
+        j, d = divmod(j, len(labels))
+        digits.append(labels[d])
+    out = ((1,),)
+    for (n, labels), a in zip(factors, reversed(digits)):
+        factor = [[_fuses(n, a, b, c) for c in labels] for b in labels]
+        out = tuple(
+            tuple(x * y for x in row for y in frow) for row in out for frow in factor
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -62,10 +106,12 @@ class FusionElement:
         return FusionElement(tuple(-c for c in self.coefficients))
 
 
-# Ring caches are bounded: a rank-120 ring holds a table of ~1.7M
-# entries, and a loop over many graphs must not keep every ring.  The
-# bounds leave room for every graph that one process of the benchmark
-# workloads touches (at most 14 rings, 6 TLJ labels and 4 odd labels).
+# Ring caches are bounded: a ring keeps every plane it has been asked
+# for, so once `fusion-table` has printed a rank-120 ring it holds all
+# 120 planes (~1.7M entries), and a loop over many graphs must not keep
+# every ring.  The bounds leave room for every graph that one process of
+# the benchmark workloads touches (at most 14 rings, 6 TLJ labels and 4
+# odd labels).
 RING_CACHE_SIZE = 32
 TLJ_CACHE_SIZE = 16
 
@@ -83,28 +129,7 @@ def tlj_ring(n: int) -> FusionRing:
     """The rank-(n-1) ring with simples Pi0..Pi_{n-2} and truncated fusion."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    labels = range(n - 1)
-    N = tuple(
-        tuple(
-            tuple(
-                1
-                if (
-                    abs(a - b) <= c <= min(a + b, 2 * (n - 2) - (a + b))
-                    and (c - a - b) % 2 == 0
-                )
-                else 0
-                for c in labels
-            )
-            for b in labels
-        )
-        for a in labels
-    )
-    return FusionRing(
-        basis=tuple(f"Pi{k}" for k in labels),
-        unit_index=0,
-        N=N,
-        fpdim=_chebyshev_dims(n, labels),
-    )
+    return FusionRing(((n, range(n - 1)),))
 
 
 @lru_cache(maxsize=TLJ_CACHE_SIZE)
@@ -112,55 +137,21 @@ def tlj_even_ring(n: int) -> FusionRing:
     """The even-labelled subring of tlj_ring(n); only defined for odd n."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need odd n >= 3, got {n}")
-    full = tlj_ring(n)
-    even = range(0, n - 2, 2)
-    N = tuple(
-        tuple(tuple(full.N[a][b][c] for c in even) for b in even) for a in even
-    )
-    return FusionRing(
-        basis=tuple(f"Pi{k}" for k in even),
-        unit_index=0,
-        N=N,
-        fpdim=tuple(full.fpdim[k] for k in even),
-    )
+    return FusionRing(((n, range(0, n - 2, 2)),))
 
 
 def deligne_product(rings: list[FusionRing]) -> FusionRing:
     if not rings:
         raise ValueError("empty product")
-    if len(rings) == 1:
-        return rings[0]
-    index_tuples = list(itertools.product(*(range(r.rank) for r in rings)))
-    pos = {t: p for p, t in enumerate(index_tuples)}
-    size = len(index_tuples)
-    N = [[[0] * size for _ in range(size)] for _ in range(size)]
-    for ti, ii in enumerate(index_tuples):
-        for tj, jj in enumerate(index_tuples):
-            # support of the product is a cartesian product of supports
-            supports = [
-                [c for c in range(r.rank) if r.N[a][b][c]]
-                for r, a, b in zip(rings, ii, jj)
-            ]
-            for kk in itertools.product(*supports):
-                val = 1
-                for r, a, b, c in zip(rings, ii, jj, kk):
-                    val *= r.N[a][b][c]
-                N[ti][tj][pos[kk]] = val
-    return FusionRing(
-        basis=tuple(
-            "*".join(r.basis[i] for r, i in zip(rings, t)) for t in index_tuples
-        ),
-        unit_index=0,
-        N=tuple(tuple(tuple(row) for row in plane) for plane in N),
-        fpdim=tuple(
-            math.prod(r.fpdim[i] for r, i in zip(rings, t)) for t in index_tuples
-        ),
-    )
+    return FusionRing(sum((r.factors for r in rings), ()))
 
 
-# The most simples a graph's ring may have.  Building it writes a
-# rank**3 table, so a label such as m = 10**6 must be refused before any
-# table is built; 128 admits the 5-7-9-11 chain (rank 120).
+# The most simples a graph's ring may have.  A plane has rank**2
+# entries, and what a command reads grows with it: `fusion-table` prints
+# rank**2 lines (reading every plane), `roots` reads every plane to find
+# the invertible simples, and the unfolded graph has rank vertices per
+# base vertex.  So a label such as m = 10**6 must be refused before any
+# ring is built; 128 admits the 5-7-9-11 chain (rank 120).
 MAX_RING_RANK = 128
 
 
@@ -183,7 +174,7 @@ def _factor_ranks(labels) -> list[int]:
 def coxeter_fusion_ring(g: CoxeterGraph) -> FusionRing:
     """Product of one TLJ factor per distinct finite edge label, increasing.
 
-    A ring over MAX_RING_RANK simples raises ValueError before any table
+    A ring over MAX_RING_RANK simples raises ValueError before any ring
     is built."""
     labels = g.finite_edge_labels()
     _factor_ranks(labels)
@@ -239,17 +230,16 @@ def edge_object(g: CoxeterGraph, e) -> FusionElement:
 def multiply(r: FusionRing, a: FusionElement, b: FusionElement) -> FusionElement:
     if len(a.coefficients) != r.rank or len(b.coefficients) != r.rank:
         raise ValueError("element length does not match ring rank")
-    out = [0] * r.rank
+    out = [0] * len(a.coefficients)
     for i, ca in enumerate(a.coefficients):
         if not ca:
             continue
+        plane = r.plane(i)
         for j, cb in enumerate(b.coefficients):
-            if not cb:
-                continue
-            row = r.N[i][j]
-            for k in range(r.rank):
-                if row[k]:
-                    out[k] += ca * cb * row[k]
+            if cb:
+                for k, x in enumerate(plane[j]):
+                    if x:
+                        out[k] += ca * cb * x
     return FusionElement(tuple(out))
 
 

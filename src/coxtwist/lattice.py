@@ -49,8 +49,10 @@ is the returned representative.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .coxgraph import INF, CoxeterGraph, braid_letters
 from .fusion import FusionElement, FusionRing, edge_object, multiply
@@ -112,7 +114,7 @@ def bilinear_form_C(
             base = forms[s][t]
             if not any(base.coefficients):
                 continue
-            ef = FusionElement(ring.N[e][f])
+            ef = FusionElement(ring.plane(e)[f])
             term = multiply(ring, ef, base)
             out = out + FusionElement(
                 tuple(ca * cb * c for c in term.coefficients)
@@ -305,12 +307,12 @@ def specialize_q(m: LaurentFusionMatrix, value: int = -1):
                     if weight.denominator == 1:
                         weight = weight.numerator
                     powers[exp] = weight
-                # [E][F] = sum_e N[E][F][e] [e], read straight from N
+                # [E][F] = sum_e N[E][F][e] [e], read off plane E
                 for j, c in enumerate(fe.coefficients):
                     if not c:
                         continue
                     wc = weight * c
-                    for f, prod in enumerate(ring.N[j]):
+                    for f, prod in enumerate(ring.plane(j)):
                         col = s * nr + f
                         for e, x in enumerate(prod):
                             if x:
@@ -375,20 +377,20 @@ def _invertible_simples(ring: FusionRing) -> tuple[int, ...]:
     simples.  Each permutes the simples by f -> g * f, and the
     permutation is its own inverse.
     """
-    unit = ring.N[ring.unit_index][ring.unit_index]
-    return tuple(g for g in range(ring.rank) if ring.N[g][g] == unit)
+    unit = ring.plane(ring.unit_index)[ring.unit_index]
+    return tuple(g for g in range(ring.rank) if ring.plane(g)[g] == unit)
 
 
-def root_layers(
-    g: CoxeterGraph, ring: FusionRing, depth: int
-) -> list[set[LatticeVector]]:
-    """Orbit layers of the simple roots; one representative per root line.
+def root_walk(g: CoxeterGraph, ring: FusionRing):
+    """The orbit walk of the simple roots: each accepted root as
+    (layer, LatticeVector), layer by layer, one per root line.
 
-    Layer 1 is the simple roots themselves, so depth bounds the layer
-    count.  Vectors leaving the nonnegative orthant are negative-root
-    duplicates and are dropped.  A simple reflection differs from the
-    identity only in the ring.rank rows of its vertex, so an image is
-    updated on those rows alone.
+    Layer 1 is the simple roots themselves; the walk has no depth bound
+    and ends only when a layer is empty, so a caller stops reading where
+    it needs to.  Vectors leaving the nonnegative orthant are
+    negative-root duplicates and are dropped.  A simple reflection
+    differs from the identity only in the ring.rank rows of its vertex,
+    so an image is updated on those rows alone.
 
     A root line is keyed on the root's orbit under the invertible
     simples G: two roots of the walk give one reflection exactly when
@@ -398,10 +400,8 @@ def root_layers(
     coherence two roots over one real root differ by a simple of FPdim
     1 (the module docstring has the argument).  Accepting a root marks
     its |G| orbit images as seen, so the first vector found on each line
-    is the one returned.
+    is the one yielded.
     """
-    if depth <= 0:
-        return []
     mats = simple_reflection_matrices(g, ring)
     nr = ring.rank
     n = g.rank * nr
@@ -412,7 +412,7 @@ def root_layers(
     # [h] moves block coordinate f to h * f; h * h = 1, so coordinate f
     # of [h]v is coordinate h * f of v
     perms = [
-        tuple(b * nr + ring.N[h][f].index(1) for b in range(g.rank) for f in range(nr))
+        tuple(b * nr + row.index(1) for b in range(g.rank) for row in ring.plane(h))
         for h in _invertible_simples(ring)
         if h != ring.unit_index
     ]
@@ -427,23 +427,29 @@ def root_layers(
         vec = tuple(1 if k == vi * nr else 0 for k in range(n))
         accept(vec)
         frontier.append(vec)
-    layers = [{LatticeVector(vec) for vec in frontier}]
-    for _ in range(depth - 1):
-        if not frontier:
-            break
-        frontier.sort()
+        yield 1, LatticeVector(vec)
+    layer = 1
+    while frontier:
+        layer += 1
         nxt = []
-        for vec in frontier:
+        for vec in sorted(frontier):
             for block in blocks:
                 image = _block_apply(block, vec)
                 if image in seen or any(c < 0 for c in image):
                     continue
                 accept(image)
                 nxt.append(image)
-        if nxt:
-            layers.append({LatticeVector(vec) for vec in nxt})
+                yield layer, LatticeVector(image)
         frontier = nxt
-    return layers
+
+
+def root_layers(
+    g: CoxeterGraph, ring: FusionRing, depth: int
+) -> list[set[LatticeVector]]:
+    """The first depth layers of root_walk, one set per nonempty layer."""
+    walk = itertools.takewhile(lambda item: item[0] <= depth, root_walk(g, ring))
+    layers = itertools.groupby(walk, itemgetter(0))
+    return [{root for _, root in layer} for _, layer in layers]
 
 
 def enumerate_positive_roots(

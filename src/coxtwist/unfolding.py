@@ -91,9 +91,9 @@ def unfold(g: CoxeterGraph) -> UnfoldedGraph:
             for e in range(rank):
                 edges.append((i * rank + e, j * rank + e, 2))
             continue
-        # the edge object is one simple Pi_k, so Pi_k * Pi_f is the row
-        # N[k][f] and N[k] is the whole adjacency between the two fibers
-        adj = ring.N[edge_object(g, (i, j, m)).coefficients.index(1)]
+        # the edge object is one simple Pi_k, so Pi_k * Pi_f is row f of
+        # plane k, and plane k is the whole adjacency between the fibers
+        adj = ring.plane(edge_object(g, (i, j, m)).coefficients.index(1))
         # TLJ products are multiplicity-free and symmetric; both facts
         # are what lets an edge upstairs stand for a coefficient
         edge = f"{g.vertices[i]}-{g.vertices[j]}"

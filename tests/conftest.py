@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from coxtwist import fusion
 from coxtwist.coxgraph import parse_graph
+
+from reference import ref_ring_table
 
 # The standing corpus used across test modules: two finite simply-laced graphs,
 # two finite dihedral ones, a mixed-label chain, the infinite dihedral graph,
@@ -38,3 +41,19 @@ def graph_json(vertices, edges):
 @pytest.fixture
 def make_graph():
     return lambda vertices, edges: parse_graph(graph_json(vertices, edges))
+
+
+@pytest.fixture(autouse=True, scope="session")
+def planes_equal_the_reference_table():
+    """Every ring plane any test builds equals that plane of the ring's
+    whole table, written out by the reference triple loop."""
+    build = fusion._plane
+
+    def checked(factors, j):
+        plane = build(factors, j)
+        assert plane == ref_ring_table(factors)[j], (factors, j)
+        return plane
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fusion, "_plane", checked)
+        yield

@@ -17,10 +17,10 @@ from fractions import Fraction
 
 import pytest
 
-from coxtwist import cli
+from coxtwist import cli, fusion
 from coxtwist.cli import read_act_output, run
 from coxtwist.coxgraph import parse_graph
-from coxtwist.fusion import coxeter_fusion_ring
+from coxtwist.fusion import coxeter_fusion_ring, edge_object
 from coxtwist.unfolding import fiber, unfold
 
 from conftest import CORPUS_JSON, graph_json
@@ -238,6 +238,9 @@ GOLDEN_GRAPHS = {
     **CORPUS_JSON,
     "l579": graph_json("abcd", [("a", "b", 5), ("b", "c", 7), ("c", "d", 9)]),
     "h3": graph_json("abc", [("a", "b", 5), ("b", "c", 3)]),
+    "l57911": graph_json(
+        "abcde", [("a", "b", 5), ("b", "c", 7), ("c", "d", 9), ("d", "e", 11)]
+    ),
 }
 
 GOLDEN_ARGV = {
@@ -273,6 +276,7 @@ GOLDEN_SHA256 = {
     ("l579", "fusion-table"): "671835614801e57c53a453909f131df2e1506a52147eb303f729818ddd656fe2",
     ("l579", "unfold"): "e0d880b091c71b554b07f2c83502f9ea8296e0e7056e6aad163459895f39bd96",
     ("l579", "zigzag-info"): "f2352f6056b1beea0870fa7cf19cad6d19022f80348b0c2c0c657ed722bc3262",
+    ("l57911", "fusion-table"): "ba7a41e81eaab72e9e7c13c2179e9d8a07ae89d5a1a76ee5343956483aa73ac2",
     ("rank2_inf", "fusion-table"): "c72196643ad4d1c5de3b47cf007239e57e2fd0a71c75e4b3eaa1b9e39db7ea37",
     ("rank2_inf", "unfold"): "0b4d36b754702c5de54682b4b99e4aca73e0e0ebc9af19e69e85d9cd3a4d7560",
     ("rank2_inf", "zigzag-info"): "01530a8209550685984abc84fc781edb2225ce1cf0998e64f523f4b34181b97d",
@@ -285,6 +289,24 @@ def test_graph_structure_stdout_digest(gpath, graph, command):
     assert res.exit_code == 0
     digest = hashlib.sha256(res.stdout.encode()).hexdigest()
     assert digest == GOLDEN_SHA256[graph, command]
+
+
+def test_cold_is_identity_builds_only_the_planes_it_reads(gpath, monkeypatch):
+    # of the 120 planes of the 5-7-9-11 chain's ring, a word problem
+    # reads the unit's (in the Burau matrix) and the edge objects'
+    built = []
+    build = fusion._plane
+    monkeypatch.setattr(
+        fusion, "_plane", lambda factors, j: built.append(j) or build(factors, j)
+    )
+    coxeter_fusion_ring.cache_clear()
+    res = run(["is-identity", gpath("l57911", GOLDEN_GRAPHS["l57911"]), "a c a^-1 c^-1"])
+    assert res.exit_code == 0
+    g = parse_graph(GOLDEN_GRAPHS["l57911"])
+    ring = coxeter_fusion_ring(g)
+    reads = {edge_object(g, e).coefficients.index(1) for e in g.edges}
+    assert (ring.rank, len(reads)) == (120, 4)
+    assert sorted(built) == sorted(reads | {ring.unit_index})
 
 
 # ------------------------------------------------------------------- burau
@@ -363,21 +385,27 @@ def test_roots_depth_must_be_positive(gpath):
 H4_JSON = graph_json("abcd", [("a", "b", 5), ("b", "c", 3), ("c", "d", 3)])
 
 
-@pytest.mark.parametrize("depth,count,truncated", [(22, 59, "yes"), (23, 60, "no")])
+@pytest.mark.parametrize(
+    "depth,count,truncated", [(13, 46, "yes"), (22, 59, "yes"), (23, 60, "no")]
+)
 def test_roots_h4_walks_once(gpath, monkeypatch, depth, count, truncated):
+    # the roots each walk yields to the command, one entry per walk
     calls = []
-    real = cli.root_layers
+    real = cli.root_walk
 
     def spy(*args):
-        calls.append(args[2])
-        return real(*args)
+        calls.append(0)
+        for item in real(*args):
+            calls[-1] += 1
+            yield item
 
-    monkeypatch.setattr(cli, "root_layers", spy)
+    monkeypatch.setattr(cli, "root_walk", spy)
     res = run(["roots", gpath("h4", H4_JSON), "--depth", str(depth)])
     assert res.exit_code == 0
     assert f"count: {count}\n" in res.stdout
     assert f"truncated: {truncated}\n" in res.stdout
-    assert calls == [depth + 1]
+    # one walk, read no further than the first root past the depth
+    assert calls == [count + (truncated == "yes")]
 
 
 # ----------------------------------------------------- word-level commands

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coxtwist import cli, fusion
@@ -29,6 +29,7 @@ from coxtwist.fusion import (
 )
 
 from conftest import CORPUS_JSON, graph_json
+from reference import ref_ring_table
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -37,6 +38,11 @@ def simple(r: FusionRing, i: int) -> FusionElement:
     coeffs = [0] * len(r.basis)
     coeffs[i] = 1
     return FusionElement(tuple(coeffs))
+
+
+def planes(r: FusionRing):
+    """N[i][j][k] as plane(i)[j][k]."""
+    return tuple(r.plane(i) for i in range(r.rank))
 
 
 def table_row(r: FusionRing, a: int, b: int) -> tuple[int, ...]:
@@ -125,7 +131,7 @@ def test_deligne_unit_factor_keeps_table():
     prod = deligne_product([tlj_even_ring(3), fib])
     assert len(prod.basis) == 2
     assert prod.basis == ("Pi0*Pi0", "Pi0*Pi2")
-    assert prod.N == fib.N
+    assert planes(prod) == planes(fib)
     assert prod.fpdim == pytest.approx(fib.fpdim)
 
 
@@ -192,7 +198,7 @@ def test_coxeter_ring_affine_g2():
     r = coxeter_fusion_ring(g)
     # factors ordered by increasing label: C_3 (trivial) then TLJ_6
     assert r.basis == ("Pi0*Pi0", "Pi0*Pi1", "Pi0*Pi2", "Pi0*Pi3", "Pi0*Pi4")
-    assert r.N == tlj_ring(6).N
+    assert planes(r) == planes(tlj_ring(6))
 
 
 def test_edge_object_label3_is_unit():
@@ -266,7 +272,7 @@ class TableBuilt(Exception):
 
 @pytest.fixture
 def no_ring_tables(monkeypatch):
-    """Make every ring-table builder raise TableBuilt if it is called."""
+    """Make every ring constructor raise TableBuilt if it is called."""
 
     def refuse(*args):
         raise TableBuilt(args)
@@ -355,39 +361,70 @@ def _named_rings():
 RINGS = _named_rings()
 
 
+def reference_factors(labels):
+    """The (n, labels) factors of the ring of these finite edge labels."""
+    return tuple(
+        (n, range(n - 1) if n % 2 == 0 else range(0, n - 2, 2))
+        for n in sorted(set(labels))
+    ) or ((3, range(1)),)
+
+
+@settings(max_examples=40, deadline=None)
+@example(labels=[5, 7, 9, 11])  # rank 120, the largest ring the tests build
+@given(
+    labels=st.lists(
+        st.one_of(st.integers(min_value=3, max_value=16), st.just("inf")), max_size=5
+    )
+)
+def test_graph_ring_planes_equal_the_reference_table(labels):
+    # a path graph with these edge labels; its ring is one factor per
+    # distinct finite label, and each plane is the reference table's
+    finite = [m for m in labels if m != "inf"]
+    sizes = [n - 1 if n % 2 == 0 else (n - 1) // 2 for n in set(finite)]
+    assume(math.prod(sizes) <= MAX_RING_RANK)
+    names = [f"v{k}" for k in range(len(labels) + 1)]
+    edges = [(names[k], names[k + 1], m) for k, m in enumerate(labels)]
+    g = parse_graph(graph_json(names, edges))
+    r = coxeter_fusion_ring(g)
+    assert r.factors == reference_factors(finite)
+    assert planes(r) == ref_ring_table(r.factors)
+
+
 @pytest.mark.parametrize("name", sorted(RINGS))
 def test_ring_invariants(name):
     r = RINGS[name]
+    N = planes(r)
     size = len(r.basis)
     u = r.unit_index
     assert u == 0
     for j in range(size):
         for k in range(size):
-            assert r.N[u][j][k] == (1 if j == k else 0)
-            assert r.N[j][u][k] == (1 if j == k else 0)
+            assert N[u][j][k] == (1 if j == k else 0)
+            assert N[j][u][k] == (1 if j == k else 0)
     for i in range(size):
         for j in range(size):
-            assert r.N[i][j][u] == (1 if i == j else 0)
+            assert N[i][j][u] == (1 if i == j else 0)
             for k in range(size):
-                assert r.N[i][j][k] == r.N[j][i][k]
-                assert r.N[i][j][k] >= 0
+                assert N[i][j][k] == N[j][i][k]
+                assert N[i][j][k] >= 0
     for i in range(size):
         for j in range(size):
             for l in range(size):
                 for m_ in range(size):
-                    lhs = sum(r.N[i][j][k] * r.N[k][l][m_] for k in range(size))
-                    rhs = sum(r.N[j][l][k] * r.N[i][k][m_] for k in range(size))
+                    lhs = sum(N[i][j][k] * N[k][l][m_] for k in range(size))
+                    rhs = sum(N[j][l][k] * N[i][k][m_] for k in range(size))
                     assert lhs == rhs
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
 def test_fpdim_is_ring_homomorphism(name):
     r = RINGS[name]
+    N = planes(r)
     size = len(r.basis)
     assert all(d >= 1.0 - 1e-12 for d in r.fpdim)
     for i in range(size):
         for j in range(size):
-            total = sum(r.N[i][j][k] * r.fpdim[k] for k in range(size))
+            total = sum(N[i][j][k] * r.fpdim[k] for k in range(size))
             assert abs(r.fpdim[i] * r.fpdim[j] - total) < 1e-9
 
 
@@ -395,9 +432,10 @@ def test_fpdim_is_ring_homomorphism(name):
 def test_fpdim_matches_perron_eigenvalue(name):
     # independent route: spectral radius of each multiplication matrix
     r = RINGS[name]
+    N = planes(r)
     size = len(r.basis)
     for i in range(size):
-        mat = np.array([[r.N[i][j][k] for j in range(size)] for k in range(size)])
+        mat = np.array([[N[i][j][k] for j in range(size)] for k in range(size)])
         top = max(np.linalg.eigvals(mat).real)
         assert abs(top - r.fpdim[i]) < 1e-9
 
@@ -414,13 +452,14 @@ def test_chebyshev_recurrence(n):
 @given(n=st.integers(min_value=3, max_value=12))
 def test_tlj_invariants_for_random_n(n):
     r = tlj_ring(n)
+    N = planes(r)
     size = len(r.basis)
     assert size == n - 1
     for i in range(size):
         for j in range(size):
-            assert r.N[i][j][0] == (1 if i == j else 0)
+            assert N[i][j][0] == (1 if i == j else 0)
             for k in range(size):
-                assert r.N[i][j][k] == r.N[j][i][k]
+                assert N[i][j][k] == N[j][i][k]
     # fpdim symmetry under the top simple
     for k in range(size):
         assert abs(r.fpdim[k] - r.fpdim[size - 1 - k]) < 1e-9

@@ -569,10 +569,10 @@ def check_invertible_simples(ring):
     assert inv == tuple(k for k, d in enumerate(ring.fpdim) if abs(d - 1) <= 1e-12)
     unit = FusionElement.unit(ring).coefficients
     for h in inv:
-        assert ring.N[h][h] == unit
+        assert ring.plane(h)[h] == unit
         images = []
         for f in range(ring.rank):
-            row = ring.N[h][f]
+            row = ring.plane(h)[f]
             assert sorted(row) == [0] * (ring.rank - 1) + [1]
             images.append(row.index(1))
         assert sorted(images) == list(range(ring.rank))
@@ -587,7 +587,7 @@ def orbit(ring, inv, v):
         image = [0] * len(v)
         for k, c in enumerate(v):
             b, e = divmod(k, nr)
-            for f, x in enumerate(ring.N[h][e]):
+            for f, x in enumerate(ring.plane(h)[e]):
                 image[b * nr + f] += c * x
         out.add(tuple(image))
     return out

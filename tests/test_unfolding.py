@@ -5,7 +5,6 @@ TLJ fusion rows and cross-checked against the component shapes
 (E7-affine plus D6-affine, and the 4-cycle with infinity whiskers).
 """
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -22,7 +21,7 @@ from coxtwist.coxgraph import (
     is_finite_type,
     parse_graph,
 )
-from coxtwist.fusion import coxeter_fusion_ring
+from coxtwist.fusion import FusionRing, coxeter_fusion_ring
 from coxtwist.lattice import coxeter_word_matrix, mat_mul, simple_reflection_matrix
 from coxtwist.unfolding import fiber, lcm_translate, psi_matrix, unfold
 
@@ -291,23 +290,31 @@ def test_finite_type_preserved_by_unfolding(name):
     assert is_finite_type(g) == is_finite_type(unfold(g).as_coxeter_graph())
 
 
-# Rings whose edge rows break one invariant each, patched in where unfold
-# looks the ring up.  The a2 ring has rank one; the i2_5 ring is
+# Rings whose edge planes break one invariant each, patched in where
+# unfold looks the ring up.  The a2 ring has rank one; the i2_5 ring is
 # (Pi0, Pi2), and the object of its 5-edge is Pi2.
 
 
+class DoubledRing(FusionRing):
+    # every structure constant doubled: each edge plane has a 2 in it
+    def plane(self, j):
+        return tuple(tuple(2 * c for c in row) for row in super().plane(j))
+
+
+class SkewedRing(FusionRing):
+    # Pi2 * Pi0 loses its Pi2 term: still multiplicity-free, but the
+    # plane of Pi2 is no longer symmetric
+    def plane(self, j):
+        plane = super().plane(j)
+        return ((0, 0), plane[1]) if j == 1 else plane
+
+
 def doubled_ring(g):
-    # every structure constant doubled: each edge row has a 2 in it
-    ring = coxeter_fusion_ring(g)
-    N = tuple(tuple(tuple(2 * c for c in row) for row in plane) for plane in ring.N)
-    return dataclasses.replace(ring, N=N)
+    return DoubledRing(coxeter_fusion_ring(g).factors)
 
 
 def skewed_ring(g):
-    # Pi2 * Pi0 loses its Pi2 term: still multiplicity-free, but the
-    # row N[Pi2] is no longer symmetric
-    ring = coxeter_fusion_ring(g)
-    return dataclasses.replace(ring, N=(ring.N[0], ((0, 0), ring.N[1][1])))
+    return SkewedRing(coxeter_fusion_ring(g).factors)
 
 
 def check_unfold_rejects(monkeypatch, tmp_path, ring, graph, message):
