@@ -177,17 +177,8 @@ def _f15(x: float) -> float:
 
 
 def _fmt_element(ring: FusionRing, elt: FusionElement) -> str:
-    parts = []
-    for c, lab in zip(elt.coefficients, ring.basis):
-        if not c:
-            continue
-        if c == 1:
-            parts.append(lab)
-        elif c == -1:
-            parts.append("-" + lab)
-        else:
-            parts.append(f"{c}*{lab}")
-    return " + ".join(parts) if parts else "0"
+    nonzero = ((k, c) for k, c in enumerate(elt.coefficients) if c)
+    return _fmt_combo(nonzero, ring.basis.__getitem__)
 
 
 def _fmt_laurent_entry(ring: FusionRing, entry) -> str:
@@ -209,7 +200,8 @@ def _fmt_laurent_entry(ring: FusionRing, entry) -> str:
 
 
 def _fmt_combo(combo, label) -> str:
-    """The combination as text, with label(b) naming basis path b."""
+    """The (b, coefficient) pairs as text, with label(b) naming b, a
+    basis path or a simple of the ring."""
     parts = []
     for b, co in combo:
         lab = label(b)

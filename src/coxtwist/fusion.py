@@ -148,10 +148,11 @@ def deligne_product(rings: list[FusionRing]) -> FusionRing:
 
 # The most simples a graph's ring may have.  A plane has rank**2
 # entries, and what a command reads grows with it: `fusion-table` prints
-# rank**2 lines (reading every plane), `roots` reads every plane to find
-# the invertible simples, and the unfolded graph has rank vertices per
-# base vertex.  So a label such as m = 10**6 must be refused before any
-# ring is built; 128 admits the 5-7-9-11 chain (rank 120).
+# rank**2 lines (reading every plane), a reflection block of `roots` or
+# `coxeter-eq` reads the planes of the unit and the edge objects, and the
+# unfolded graph has rank vertices per base vertex.  So a label such as
+# m = 10**6 must be refused before any ring is built; 128 admits the
+# 5-7-9-11 chain (rank 120).
 MAX_RING_RANK = 128
 
 

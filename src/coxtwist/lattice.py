@@ -14,7 +14,11 @@ its ring so specialization needs no extra argument.
 A Burau generator sigma_s differs from the identity only in row s, and
 a simple reflection only in the ring.rank rows of its vertex.  Words,
 Coxeter words and the root walk therefore update those rows alone;
-`mat_mul` is the dense product the tests compare them against.
+`mat_mul` is the dense product the tests compare them against.  A simple
+reflection is only ever built as that block of rows, 1 + U, straight
+from the pair forms B_C(alpha_s, alpha_t): those hold only the unit and
+the edge objects, so the block reads only their planes of the ring, and
+`simple_reflection_matrix` is the one-letter Coxeter word.
 `coxeter_word_matrix` is a block-row product of integer reflections and
 shares no code with `burau_word` or `specialize_q`, so it stays an
 independent check of the two.
@@ -26,8 +30,10 @@ the lattice carries several vectors over one real root line, and the
 count of root lines is what the orbit is asked for.  The walk keys a
 line on the root's orbit under the invertible simples G, the simples g
 with g * g = 1, which act on the lattice by permuting coordinates
-within each vertex block.  For roots beta and gamma of the walk,
-s_beta = s_gamma exactly when beta = [g] gamma for some g in G:
+within each vertex block; G is read off the ring's TLJ factors, and the
+walk reads no plane beyond those of G and of its reflection blocks.
+For roots beta and gamma of the walk, s_beta = s_gamma exactly when
+beta = [g] gamma for some g in G:
 
 - (<=) [g] commutes with W, and B_C([g]x, y) = [g] B_C(x, y) because
   every simple is self-dual.  So s_[g]beta(v) = v - [g]^2 B_C(beta, v)
@@ -55,7 +61,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .coxgraph import INF, CoxeterGraph, braid_letters
-from .fusion import FusionElement, FusionRing, edge_object, multiply
+from .fusion import FusionElement, FusionRing, coxeter_fusion_ring, edge_object, multiply
 
 
 @dataclass(frozen=True)
@@ -122,42 +128,34 @@ def bilinear_form_C(
     return out
 
 
-def _reflection_matrix(ring: FusionRing, forms, si: int):
-    """Matrix of v -> v - B_C(alpha_s, v) alpha_s; columns are images."""
+def _reflection_block(ring: FusionRing, forms, si: int):
+    """The reflection v -> v - B_C(alpha_s, v) alpha_s as 1 + U: the
+    nonzero entries of U, row by row and sorted by column.
+
+    U lives in the ring.rank rows of vertex s.  Column t * nr + f, the
+    vector [F] alpha_t, loses ([F] B_C(alpha_s, alpha_t)) alpha_s.  The
+    ring is commutative, so for the form sum_j c_j [j] the entry in row e
+    is -sum_j c_j N[j][f][e]: only the planes of the simples in the
+    forms, the unit and the edge objects, are read.
+    """
     nr = ring.rank
-    n = len(forms) * nr
-    mat = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for t, base in enumerate(forms[si]):
-        if not any(base.coefficients):
-            continue
-        for f in range(nr):
-            # image of [F] alpha_t loses ([F] B_C(a_s, a_t)) alpha_s
-            drop = multiply(ring, FusionElement.simple(ring, f), base)
-            col = t * nr + f
-            for e, c in enumerate(drop.coefficients):
-                mat[si * nr + e][col] -= c
-    return tuple(tuple(row) for row in mat)
-
-
-def simple_reflection_matrices(
-    g: CoxeterGraph, ring: FusionRing
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Every simple reflection matrix, in vertex order, from one table of
-    pair forms."""
-    forms = _pair_forms(g, ring)
-    return tuple(_reflection_matrix(ring, forms, si) for si in range(g.rank))
-
-
-def simple_reflection_matrix(
-    g: CoxeterGraph, ring: FusionRing, s: str
-) -> tuple[tuple[int, ...], ...]:
-    """Matrix of v -> v - B_C(alpha_s, v) alpha_s; columns are images."""
-    si = g.index(s)
-    return _reflection_matrix(ring, _pair_forms(g, ring), si)
+    urows: list[dict[int, int]] = [{} for _ in range(nr)]
+    for t, form in enumerate(forms[si]):
+        for j, c in enumerate(form.coefficients):
+            if not c:
+                continue
+            for f, prod in enumerate(ring.plane(j)):
+                col = t * nr + f
+                for e, x in enumerate(prod):
+                    if x:
+                        urows[e][col] = urows[e].get(col, 0) - c * x
+    return tuple(
+        (si * nr + e, tuple(sorted((col, u) for col, u in urow.items() if u)))
+        for e, urow in enumerate(urows)
+    )
 
 
 def mat_mul(a, b):
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
@@ -177,23 +175,25 @@ def coxeter_word_matrix(
 
     Each letter rewrites only the ring.rank rows of its vertex.
     """
-    nr = ring.rank
-    n = g.rank * nr
+    n = g.rank * ring.rank
     forms = _pair_forms(g, ring)
     blocks: dict[str, tuple] = {}
     rows = [tuple(1 if r == c else 0 for c in range(n)) for r in range(n)]
     for name in word:
         if name not in blocks:
-            si = g.index(name)
-            mat = _reflection_matrix(ring, forms, si)
-            blocks[name] = _reflection_block(mat, range(si * nr, (si + 1) * nr))
+            blocks[name] = _reflection_block(ring, forms, g.index(name))
         rows = _block_rows(blocks[name], rows)
     return tuple(rows)
 
 
-def coxeter_word_equal(g: CoxeterGraph, w1, w2) -> bool:
-    from .fusion import coxeter_fusion_ring
+def simple_reflection_matrix(
+    g: CoxeterGraph, ring: FusionRing, s: str
+) -> tuple[tuple[int, ...], ...]:
+    """Matrix of v -> v - B_C(alpha_s, v) alpha_s; columns are images."""
+    return coxeter_word_matrix(g, ring, (s,))
 
+
+def coxeter_word_equal(g: CoxeterGraph, w1, w2) -> bool:
     ring = coxeter_fusion_ring(g)
     return coxeter_word_matrix(g, ring, tuple(w1)) == coxeter_word_matrix(
         g, ring, tuple(w2)
@@ -340,17 +340,6 @@ def burau_column(m: LaurentFusionMatrix, x: int):
     return tuple(cols)
 
 
-def _reflection_block(mat, rows: range):
-    """The reflection as 1 + U: the nonzero entries of U, row by row.
-
-    U lives in the rows of the reflected vertex only.
-    """
-    return tuple(
-        (r, tuple((j, x - (r == j)) for j, x in enumerate(mat[r]) if x != (r == j)))
-        for r in rows
-    )
-
-
 def _block_apply(block, vec: tuple[int, ...]) -> tuple[int, ...]:
     """(1 + U) vec: only the block coordinates change."""
     out = list(vec)
@@ -371,14 +360,17 @@ def _block_rows(block, rows):
 
 
 def _invertible_simples(ring: FusionRing) -> tuple[int, ...]:
-    """The simples g with g * g = 1, in basis order; the unit is one.
+    """The invertible simples, in basis order; the unit is one.
 
-    Every simple is self-dual, so these are exactly the invertible
-    simples.  Each permutes the simples by f -> g * f, and the
-    permutation is its own inverse.
+    In TLJ_n they are Pi0 and Pi_{n-2} (the even part of an odd n keeps
+    only Pi0), and a simple of a product is invertible when each of its
+    factor labels is; no plane is read.  Every simple is self-dual, so
+    each g here has g * g = 1 and permutes the simples by f -> g * f.
     """
-    unit = ring.plane(ring.unit_index)[ring.unit_index]
-    return tuple(g for g in range(ring.rank) if ring.plane(g)[g] == unit)
+    flags = itertools.product(
+        *([k in (0, n - 2) for k in labels] for n, labels in ring.factors)
+    )
+    return tuple(i for i, fs in enumerate(flags) if all(fs))
 
 
 def root_walk(g: CoxeterGraph, ring: FusionRing):
@@ -402,13 +394,10 @@ def root_walk(g: CoxeterGraph, ring: FusionRing):
     its |G| orbit images as seen, so the first vector found on each line
     is the one yielded.
     """
-    mats = simple_reflection_matrices(g, ring)
+    forms = _pair_forms(g, ring)
+    blocks = [_reflection_block(ring, forms, vi) for vi in range(g.rank)]
     nr = ring.rank
     n = g.rank * nr
-    blocks = [
-        _reflection_block(m, range(vi * nr, (vi + 1) * nr))
-        for vi, m in enumerate(mats)
-    ]
     # [h] moves block coordinate f to h * f; h * h = 1, so coordinate f
     # of [h]v is coordinate h * f of v
     perms = [

@@ -52,3 +52,30 @@ def ref_ring_table(factors):
                     val *= t[a][b][c]
                 N[ti][tj][pos[kk]] = val
     return tuple(tuple(tuple(row) for row in plane) for plane in N)
+
+
+def ref_reflection_matrix(g, ring, s):
+    """The dense matrix of v -> v - B_C(alpha_s, v) alpha_s, columns the
+    images: column t * r + f, the vector [F] alpha_t, loses
+    [F] B_C(alpha_s, alpha_t) alpha_s, each product [F] [X] read off row
+    F of the reference table.  B_C(alpha_s, alpha_s) is twice the unit;
+    for an edge {s, t} of label m it is minus twice the unit (m = inf),
+    or minus the simple with label m - 3 in the label-m factor and 0 in
+    every other factor."""
+    N = ref_ring_table(ring.factors)
+    simples = list(itertools.product(*(labels for _, labels in ring.factors)))
+    r = len(simples)
+    si = g.vertices.index(s)
+    forms = {si: (0, 2)}
+    for i, j, m in g.edges:
+        if si in (i, j):
+            edge = tuple(m - 3 if n == m else 0 for n, _ in ring.factors)
+            other = i + j - si
+            forms[other] = (0, -2) if m == float("inf") else (simples.index(edge), -1)
+    size = len(g.vertices) * r
+    mat = [[1 if a == b else 0 for b in range(size)] for a in range(size)]
+    for t, (x, c) in forms.items():
+        for f in range(r):
+            for e in range(r):
+                mat[si * r + e][t * r + f] -= c * N[f][x][e]
+    return tuple(tuple(row) for row in mat)

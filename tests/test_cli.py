@@ -291,22 +291,59 @@ def test_graph_structure_stdout_digest(gpath, graph, command):
     assert digest == GOLDEN_SHA256[graph, command]
 
 
-def test_cold_is_identity_builds_only_the_planes_it_reads(gpath, monkeypatch):
-    # of the 120 planes of the 5-7-9-11 chain's ring, a word problem
-    # reads the unit's (in the Burau matrix) and the edge objects'
+def cold_planes(monkeypatch, argv):
+    """The exit code of argv, run on a fresh ring cache, and the planes
+    of a ring built while it ran."""
     built = []
     build = fusion._plane
     monkeypatch.setattr(
         fusion, "_plane", lambda factors, j: built.append(j) or build(factors, j)
     )
     coxeter_fusion_ring.cache_clear()
-    res = run(["is-identity", gpath("l57911", GOLDEN_GRAPHS["l57911"]), "a c a^-1 c^-1"])
-    assert res.exit_code == 0
+    return run(argv).exit_code, sorted(built)
+
+
+def l57911_reads():
+    """The unit and the four edge objects of the 5-7-9-11 chain's ring."""
     g = parse_graph(GOLDEN_GRAPHS["l57911"])
     ring = coxeter_fusion_ring(g)
     reads = {edge_object(g, e).coefficients.index(1) for e in g.edges}
     assert (ring.rank, len(reads)) == (120, 4)
-    assert sorted(built) == sorted(reads | {ring.unit_index})
+    return reads | {ring.unit_index}
+
+
+def test_cold_is_identity_builds_only_the_planes_it_reads(gpath, monkeypatch):
+    # of the 120 planes of the 5-7-9-11 chain's ring, a word problem
+    # reads the unit's (in the Burau matrix) and the edge objects'
+    argv = ["is-identity", gpath("l57911", GOLDEN_GRAPHS["l57911"]), "a c a^-1 c^-1"]
+    assert cold_planes(monkeypatch, argv) == (0, sorted(l57911_reads()))
+
+
+L57911_CHARGE = {
+    "a": [0.3, 1.1], "b": [-0.7, 0.4], "c": [0.2, 0.9], "d": [0.5, 0.6], "e": [-0.1, 1.0]
+}
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["roots", "--depth", "3"], 0),
+        (["coxeter-eq", "a b c d e", "e d c b a"], 3),
+        (["regular-check", "--depth", "2", "--charge"], 0),
+    ],
+)
+def test_cold_lattice_commands_build_only_the_planes_they_read(
+    gpath, tmp_path, monkeypatch, args, code
+):
+    # a reflection block reads the planes of the unit and the edge
+    # objects, and the root walk those of the invertible simples too; the
+    # 5-7-9-11 chain has only odd labels, so the unit is its one invertible
+    ring = coxeter_fusion_ring(parse_graph(GOLDEN_GRAPHS["l57911"]))
+    assert [k for k, d in enumerate(ring.fpdim) if abs(d - 1) <= 1e-12] == [0]
+    argv = [args[0], gpath("l57911", GOLDEN_GRAPHS["l57911"]), *args[1:]]
+    if args[0] == "regular-check":
+        argv.append(charges_file(tmp_path, L57911_CHARGE))
+    assert cold_planes(monkeypatch, argv) == (code, sorted(l57911_reads()))
 
 
 # ------------------------------------------------------------------- burau

@@ -369,23 +369,32 @@ def reference_factors(labels):
     ) or ((3, range(1)),)
 
 
-@settings(max_examples=40, deadline=None)
-@example(labels=[5, 7, 9, 11])  # rank 120, the largest ring the tests build
-@given(
-    labels=st.lists(
-        st.one_of(st.integers(min_value=3, max_value=16), st.just("inf")), max_size=5
-    )
+# edge labels of a path graph, even and odd mixed, with inf
+EDGE_LABELS = st.lists(
+    st.one_of(st.integers(min_value=3, max_value=16), st.just("inf")), max_size=5
 )
-def test_graph_ring_planes_equal_the_reference_table(labels):
-    # a path graph with these edge labels; its ring is one factor per
-    # distinct finite label, and each plane is the reference table's
+
+
+def path_graph_ring(labels):
+    """A path graph with these edge labels and its ring; Hypothesis
+    rejects the draw when the ring is over MAX_RING_RANK."""
     finite = [m for m in labels if m != "inf"]
     sizes = [n - 1 if n % 2 == 0 else (n - 1) // 2 for n in set(finite)]
     assume(math.prod(sizes) <= MAX_RING_RANK)
     names = [f"v{k}" for k in range(len(labels) + 1)]
     edges = [(names[k], names[k + 1], m) for k, m in enumerate(labels)]
     g = parse_graph(graph_json(names, edges))
-    r = coxeter_fusion_ring(g)
+    return g, coxeter_fusion_ring(g)
+
+
+@settings(max_examples=40, deadline=None)
+@example(labels=[5, 7, 9, 11])  # rank 120, the largest ring the tests build
+@given(labels=EDGE_LABELS)
+def test_graph_ring_planes_equal_the_reference_table(labels):
+    # a path graph with these edge labels; its ring is one factor per
+    # distinct finite label, and each plane is the reference table's
+    finite = [m for m in labels if m != "inf"]
+    _, r = path_graph_ring(labels)
     assert r.factors == reference_factors(finite)
     assert planes(r) == ref_ring_table(r.factors)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coxtwist.coxgraph import GraphError, parse_graph
@@ -37,7 +37,6 @@ from coxtwist.lattice import (
     coxeter_word_matrix,
     enumerate_positive_roots,
     root_layers,
-    simple_reflection_matrices,
     simple_reflection_matrix,
     simple_root,
     specialize_q,
@@ -45,7 +44,9 @@ from coxtwist.lattice import (
 from coxtwist.unfolding import unfold
 
 from conftest import CORPUS_JSON, graph_json
+from reference import ref_reflection_matrix
 from test_coxgraph import random_graphs
+from test_fusion import EDGE_LABELS, path_graph_ring
 
 
 def vec(*coeffs):
@@ -474,7 +475,7 @@ def dense_root_layers(g, ring, depth):
     Each root is keyed on its reflection, conjugated by dense products
     of the whole matrices; numpy only does the integer arithmetic.
     """
-    mats = [simple_reflection_matrix(g, ring, v) for v in g.vertices]
+    mats = [ref_reflection_matrix(g, ring, v) for v in g.vertices]
     arrays = [np.array(m, dtype=np.int64) for m in mats]
     nr = ring.rank
     n = g.rank * nr
@@ -563,13 +564,14 @@ def ring_rank(labels):
 
 
 def check_invertible_simples(ring):
-    """The walk's invertible simples are the simples of FPdim 1; each
-    squares to the unit and permutes the simples."""
+    """The walk's invertible simples are the simples g with g * g = 1,
+    read off the planes, and the simples of FPdim 1; each permutes the
+    simples."""
     inv = lattice._invertible_simples(ring)
-    assert inv == tuple(k for k, d in enumerate(ring.fpdim) if abs(d - 1) <= 1e-12)
     unit = FusionElement.unit(ring).coefficients
+    assert inv == tuple(g for g in range(ring.rank) if ring.plane(g)[g] == unit)
+    assert inv == tuple(k for k, d in enumerate(ring.fpdim) if abs(d - 1) <= 1e-12)
     for h in inv:
-        assert ring.plane(h)[h] == unit
         images = []
         for f in range(ring.rank):
             row = ring.plane(h)[f]
@@ -615,6 +617,16 @@ def test_invertible_simples_of_tlj_rings(n):
     check_invertible_simples(tlj_ring(n))
     if n % 2:
         check_invertible_simples(tlj_even_ring(n))
+
+
+@settings(max_examples=30, deadline=None)
+@example(labels=[4, 6, 8])  # rank 105, eight invertible simples
+@example(labels=[4, 5, 6, 7])  # rank 90, even and odd factors
+@given(labels=EDGE_LABELS)
+def test_invertible_simples_of_graph_rings(labels):
+    # a simple of a product is invertible when each factor label is
+    _, ring = path_graph_ring(labels)
+    check_invertible_simples(ring)
 
 
 @settings(max_examples=60, deadline=None)
@@ -699,12 +711,23 @@ def random_words(g, rng, signed, count=5):
     ]
 
 
-@pytest.mark.parametrize("name", SPARSE_GRAPHS)
-def test_simple_reflection_matrices_match_one_by_one(name):
-    g, ring = sparse_graph(name)
-    assert simple_reflection_matrices(g, ring) == tuple(
-        simple_reflection_matrix(g, ring, v) for v in g.vertices
-    )
+def check_reflections(g, ring):
+    for v in g.vertices:
+        assert simple_reflection_matrix(g, ring, v) == ref_reflection_matrix(g, ring, v)
+
+
+@pytest.mark.parametrize("name", SPARSE_GRAPHS + sorted(WALK_JSON))
+def test_simple_reflection_matrix_equals_the_reference(name):
+    check_reflections(*sparse_graph(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=random_graphs())
+def test_simple_reflection_matrix_equals_the_reference_on_random_graphs(data):
+    vertices, edges = data
+    assume(ring_rank(m for _, _, m in edges) <= 12)
+    g = parse_graph(graph_json(vertices, edges))
+    check_reflections(g, coxeter_fusion_ring(g))
 
 
 @pytest.mark.parametrize("name", SPARSE_GRAPHS)
@@ -713,7 +736,7 @@ def test_coxeter_word_matrix_matches_dense_product(name):
     for w in random_words(g, random.Random(name), signed=False):
         dense = identity(g.rank * ring.rank)
         for v in w:
-            dense = lattice.mat_mul(simple_reflection_matrix(g, ring, v), dense)
+            dense = lattice.mat_mul(ref_reflection_matrix(g, ring, v), dense)
         assert coxeter_word_matrix(g, ring, w) == dense
 
 
