@@ -305,10 +305,10 @@ def _cmd_zigzag_info(args, out) -> int:
     for k, lab in enumerate(labels):
         print(f"[{k}] {lab} (deg {A.degree(k)})", file=out)
     print("products (zeros omitted):", file=out)
-    # the table holds exactly the nonzero products
-    for i, j in sorted(A.mult):
-        lhs = f"{labels[i]} * {labels[j]}"
-        print(f"{lhs} = {_fmt_combo(A.mult[i, j], labels.__getitem__)}", file=out)
+    # the table holds exactly the nonzero products, each one path
+    for i, row in enumerate(A.products):
+        for j in sorted(row):
+            print(f"{labels[i]} * {labels[j]} = {labels[row[j]]}", file=out)
     return 0
 
 
@@ -441,7 +441,15 @@ def _cmd_act(args, out) -> int:
             f"P[{_vertex_name(A, v)}]<{k}>" for v, k in result.terms[i]
         )
         print(f"deg {i}: {summands}", file=out)
-    label = functools.partial(path_label, A)
+    # each path that occurs is labelled once
+    used = {
+        b
+        for mat in result.diffs.values()
+        for row in mat
+        for entry in row.values()
+        for b, _ in entry
+    }
+    label = {b: path_label(A, b) for b in used}.__getitem__
     for i in sorted(result.diffs):
         for r, row in enumerate(result.diffs[i]):
             for c2 in sorted(row):

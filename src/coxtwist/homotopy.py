@@ -30,7 +30,12 @@ already minimal complex as it is.
 The twist and the inverse twist share one cone construction, `_cone`:
 the twist is the cone of the counit, the inverse twist that of the
 unit, and the two differ only in the degree and shift of the new
-summands and in which map joins them to the old ones.  A twist whose
+summands and in which map joins them to the old ones.  The unit joins
+a summand to the new summand of path p by the comultiplication
+partner of p, which is its Frobenius dual: the algebra stores it as
+duals[p], written once by build_zigzag, so no twist builds the
+comultiplication.  Every twist still runs both checks, _check_complex
+on the cone and again on the result of elimination.  A twist whose
 cone is empty, because no summand has a path from the twisting vertex,
 returns its input without rebuilding it, through gaussian_eliminate
 unless elimination is off.
@@ -83,7 +88,6 @@ from .zigzag import (
     _add_combo,
     _normalize_entry,
     _vertex_index,
-    frobenius_comult,
     multiply_combo,
 )
 
@@ -155,21 +159,25 @@ def _check_complex(A: ZigzagAlgebra, c: Complex) -> None:
                             f"path combination from vertex {u} to {v}"
                         )
                     last = b
-    # d.d = 0, accumulated per (row, column, basis path)
-    mult = A.mult
+    # d.d = 0, accumulated per (row, column, basis path); every nonzero
+    # product of basis paths is one path with coefficient +1
+    products = A.products
     for i, mat in c.diffs.items():
         nxt = c.diffs.get(i + 1)
         if nxt is None:
             continue
         for row in mat:
-            acc: dict[tuple[int, int], int] = {}
+            acc: dict[int, int] = {}
             for m, x in row.items():
-                for cc, y in nxt[m].items():
-                    for bi, ci in x:
+                below = nxt[m].items()
+                for bi, ci in x:
+                    prod = products[bi]
+                    for cc, y in below:
                         for bj, cj in y:
-                            for bk, ck in mult.get((bi, bj), ()):
-                                key = (cc, bk)
-                                acc[key] = acc.get(key, 0) + ci * cj * ck
+                            bk = prod.get(bj)
+                            if bk is not None:
+                                key = cc * dim + bk
+                                acc[key] = acc[key] + ci * cj if key in acc else ci * cj
             if any(acc.values()):
                 raise InvariantError(f"d.d != 0 at degree {i}")
 
@@ -267,26 +275,31 @@ def gaussian_eliminate(A: ZigzagAlgebra, c: Complex, rng=None) -> Complex:
     _check_complex.
     """
     # entries are homogeneous, so one that contains an idempotent is a
-    # degree-0 multiple of it, and its first path tells
-    basis = A.basis
+    # degree-0 multiple of it, and its first path, an e, is below n
+    n = len(A.quiver.vertices)
     work = [
         (i, r, cc)
         for i, mat in c.diffs.items()
         for r, row in enumerate(mat)
         for cc, entry in row.items()
-        if basis[entry[0][0]][0] == "e"
+        if entry[0][0] < n
     ]
     if not work:
         return c
     heapq.heapify(work)
     # live rows by original index, and per column the rows that reach it
-    rows = {i: dict(enumerate(dict(row) for row in mat)) for i, mat in c.diffs.items()}
+    rows: dict[int, dict[int, dict[int, Combo]]] = {}
     cols: dict[int, dict[int, set[int]]] = {}
-    for i, mat in rows.items():
-        cols[i] = {}
-        for r, row in mat.items():
+    for i, mat in c.diffs.items():
+        rows[i] = live = {}
+        cols[i] = col = {}
+        for r, row in enumerate(mat):
+            live[r] = dict(row)
             for cc in row:
-                cols[i].setdefault(cc, set()).add(r)
+                if cc in col:
+                    col[cc].add(r)
+                else:
+                    col[cc] = {r}
     gone = {i: set() for i in c.terms}
 
     while work:
@@ -295,13 +308,14 @@ def gaussian_eliminate(A: ZigzagAlgebra, c: Complex, rng=None) -> Complex:
         else:
             i, r, c0 = work.pop(rng.randrange(len(work)))
         mat, col = rows[i], cols[i]
-        pivot = mat.get(r, {}).get(c0)
-        if not pivot or basis[pivot[0][0]][0] != "e":
+        top = mat.get(r)
+        pivot = top.get(c0) if top else None
+        if not pivot or pivot[0][0] >= n:
             continue  # struck out or rewritten since it was pushed
         ((_, a),) = pivot
         if a not in (1, -1):
             raise InvariantError(f"pivot {a} at degree {i} is not a unit")
-        top = mat.pop(r)
+        del mat[r]
         del top[c0]
         for c2 in top:
             col[c2].discard(r)
@@ -313,15 +327,18 @@ def gaussian_eliminate(A: ZigzagAlgebra, c: Complex, rng=None) -> Complex:
                 corr = multiply_combo(A, left, right)
                 if not corr:
                     continue
-                entry = _add_combo(row.get(c2, ()), corr, -a)  # 1/a = a
-                if entry:
-                    row[c2] = entry
+                if c2 in row:
+                    entry = _add_combo(row[c2], corr, -a)  # 1/a = a
+                    if not entry:
+                        del row[c2]
+                        col[c2].discard(r2)
+                        continue
+                else:
+                    entry = corr if a == -1 else tuple([(b, -co) for b, co in corr])
                     col[c2].add(r2)
-                    if basis[entry[0][0]][0] == "e":
-                        heapq.heappush(work, (i, r2, c2))
-                elif c2 in row:
-                    del row[c2]
-                    col[c2].discard(r2)
+                row[c2] = entry
+                if entry[0][0] < n:
+                    heapq.heappush(work, (i, r2, c2))
         # the summands r at degree i and c0 at degree i + 1 leave, and
         # with them a column of the differential below and a row above
         if i - 1 in rows:
@@ -333,21 +350,29 @@ def gaussian_eliminate(A: ZigzagAlgebra, c: Complex, rng=None) -> Complex:
         gone[i].add(r)
         gone[i + 1].add(c0)
 
-    # the summands left keep their sorted order; empty degrees go, and
-    # with them the row maps that touch them
-    left_in = {
-        i: [r for r in range(len(ss)) if r not in gone[i]] for i, ss in c.terms.items()
-    }
-    terms = {i: tuple(c.terms[i][r] for r in rs) for i, rs in left_in.items() if rs}
-    renumber = {i: {r: n for n, r in enumerate(rs)} for i, rs in left_in.items()}
-    diffs = {
-        i: tuple(
-            {renumber[i + 1][cc]: entry for cc, entry in mat[r].items()}
-            for r in left_in[i]
-        )
-        for i, mat in rows.items()
-        if i in terms and i + 1 in terms
-    }
+    # the summands left keep their sorted order, and so do the live
+    # rows, which only ever lose keys; empty degrees go, and with them
+    # the row maps that touch them.  renumber[i] maps each summand left
+    # at degree i to its new index, for the degrees that lost any
+    terms, renumber = {}, {}
+    for i, summands in c.terms.items():
+        out = gone[i]
+        if not out:
+            terms[i] = summands
+            continue
+        left_rows = [r for r in range(len(summands)) if r not in out]
+        if left_rows:
+            terms[i] = tuple([summands[r] for r in left_rows])
+            renumber[i] = dict(zip(left_rows, range(len(left_rows))))
+    diffs = {}
+    for i, mat in rows.items():
+        if i in terms and i + 1 in terms:
+            to = renumber.get(i + 1)
+            diffs[i] = tuple(
+                [{to[cc]: entry for cc, entry in row.items()} for row in mat.values()]
+                if to
+                else mat.values()
+            )
     out = Complex(terms, diffs)
     _check_complex(A, out)
     return out
@@ -360,25 +385,15 @@ def _cone(A: ZigzagAlgebra, v, c: Complex, eliminate: bool, side: int) -> Comple
     summand of c at degree i adds one summand P_v at degree i + side.
     The twist maps it onto that summand by the counit, right
     multiplication by p.  The inverse twist shifts it by <-2> and maps
-    the summand onto it by the unit, the comultiplication partner of p.
-    Between the new summands sits -e_v times the coefficient of p2 in
-    p . delta, for each nonzero entry delta of c's differential.
+    the summand onto it by the unit, the comultiplication partner of p,
+    which is A.duals[p].  Between the new summands sits -e_v times the
+    coefficient of p2 in p . delta, for each nonzero entry delta of c's
+    differential.
     Every entry is already a Combo, so the cone is built straight in
     make_complex's numbering and checked, not normalized again.
     """
     v = _vertex_index(A, v)
     paths = A.paths_out[v]
-    if not any(u in paths for summands in c.terms.values() for u, _ in summands):
-        return gaussian_eliminate(A, c) if eliminate else c
-    e_v = v  # e_v is basis index v by construction
-    degrees = A.degrees
-    shift = -2 if side > 0 else 0
-    # partner[y] = x over the comultiplication terms x (x) y at v
-    partner = (
-        {y: x for pairs in frobenius_comult(A, v).values() for x, y in pairs}
-        if side > 0
-        else {}
-    )
     # cone[i] lists (row r of c.terms[i - side], path p from v to that summand)
     cone: dict[int, list[tuple[int, int]]] = {}
     for i, summands in c.terms.items():
@@ -389,46 +404,57 @@ def _cone(A: ZigzagAlgebra, v, c: Complex, eliminate: bool, side: int) -> Comple
         ]
         if added:
             cone[i + side] = added
-    terms = {}
+    if not cone:
+        return gaussian_eliminate(A, c) if eliminate else c
+    e_v = v  # e_v is basis index v by construction
+    degrees, duals = A.degrees, A.duals
+    shift = -2 if side > 0 else 0
+    # the result's numbering: each degree's summands, old then new,
+    # stably sorted by (vertex, shift), so that equal minimal complexes
+    # compare equal.  A degree that gains summands lists its final order
+    # in order[i], and position[i][n] is the final index of its n-th
+    # summand; any other degree keeps c's numbering
+    terms, order, position = {}, {}, {}
     for i in set(c.terms) | set(cone):
-        extra = tuple(
-            (v, c.terms[i - side][r][1] + shift + degrees[p])
-            for r, p in cone.get(i, ())
-        )
-        terms[i] = c.terms.get(i, ()) + extra
-    # the result's numbering: each degree's summands stably sorted by
-    # (vertex, shift), so that equal minimal complexes compare equal;
-    # position[i][n] is the final index of the n-th summand listed above
-    order = {i: sorted(range(len(ss)), key=ss.__getitem__) for i, ss in terms.items()}
-    position = {}
-    for i, rs in order.items():
-        position[i] = pos = [0] * len(rs)
-        for n, r in enumerate(rs):
-            pos[r] = n
+        ss = c.terms.get(i, ())
+        added = cone.get(i)
+        if added:
+            below = c.terms[i - side]
+            ss += tuple([(v, below[r][1] + shift + degrees[p]) for r, p in added])
+            order[i] = rs = sorted(range(len(ss)), key=ss.__getitem__)
+            position[i] = pos = [0] * len(rs)
+            for n, r in enumerate(rs):
+                pos[r] = n
+            ss = tuple([ss[r] for r in rs])
+        terms[i] = ss
     diffs = {}
     for i in terms:
         if i + 1 not in terms:
             continue
-        n_old = len(c.terms.get(i + 1, ()))
+        to = position.get(i + 1)
         oldmat = c.diffs.get(i)
-        dmat = c.diffs.get(i - side)
-        to = position[i + 1]
         # over[r2]: the (column, path) of each new summand at degree
         # i + 1 that sits over row r2 of c.terms[i + 1 - side]
         over: dict[int, list[tuple[int, int]]] = {}
-        for n, (r2, p2) in enumerate(cone.get(i + 1, ())):
-            over.setdefault(r2, []).append((to[n_old + n], p2))
-        mat = []
-        for r in range(len(c.terms.get(i, ()))):
-            row = {to[cc]: entry for cc, entry in oldmat[r].items()} if oldmat else {}
-            if side > 0:
-                # unit component (inverse twist): row r to the summands over it
-                for cc, p2 in over.get(r, ()):
-                    row[cc] = ((partner[p2], 1),)
-            mat.append(row)
+        n_old = len(c.terms.get(i + 1, ()))
+        for n, (r2, p2) in enumerate(cone.get(i + 1, ()), n_old):
+            over.setdefault(r2, []).append((to[n], p2))
+        if not oldmat:
+            mat = [{} for _ in c.terms.get(i, ())]
+        elif to:
+            mat = [{to[cc]: entry for cc, entry in row.items()} for row in oldmat]
+        else:
+            mat = list(oldmat)  # columns unchanged: the rows are shared as they are
+        if side > 0:
+            # unit component (inverse twist): row r to the summands over it
+            for r, targets in over.items():
+                row = mat[r]
+                for cc, p2 in targets:
+                    row[cc] = ((duals[p2], 1),)
+        dmat = c.diffs.get(i - side)
         for r, p in cone.get(i, ()):
             # counit component (twist): right multiplication by the path
-            row = {to[r]: ((p, 1),)} if side < 0 else {}
+            row = {to[r] if to else r: ((p, 1),)} if side < 0 else {}
             for r2, delta in dmat[r].items() if dmat else ():
                 targets = over.get(r2)
                 if targets:
@@ -437,10 +463,9 @@ def _cone(A: ZigzagAlgebra, v, c: Complex, eliminate: bool, side: int) -> Comple
                         if p2 in prod:
                             row[cc] = ((e_v, -prod[p2]),)
             mat.append(row)
-        diffs[i] = tuple(mat[r] for r in order[i])
-    out = Complex(
-        {i: tuple(ss[r] for r in order[i]) for i, ss in terms.items()}, diffs
-    )
+        rs = order.get(i)
+        diffs[i] = tuple([mat[r] for r in rs]) if rs else tuple(mat)
+    out = Complex(terms, diffs)
     _check_complex(A, out)
     return gaussian_eliminate(A, out) if eliminate else out
 

@@ -7,8 +7,16 @@ unit of each edge, in that order: e's, X's, then arrows sorted by
 anything of total degree three or more, and caps an arrow against its
 own reverse to the loop at the source: (u|v)_a (v|u)_b = delta_ab X_u.
 All cap coefficients are +1; any other choice of unit rescaling gives
-an isomorphic algebra.  So the product table is written straight from
-this definition, one entry per nonzero product of basis paths.
+an isomorphic algebra.  So every nonzero product of two basis paths is
+one basis path with coefficient +1, and the product table is written
+straight from this definition in integer form: products[i] maps j to k
+for each nonzero product path_i . path_j = path_k.  build_zigzag checks
+that form when it writes the table: no product gets a second entry.
+duals[p] is the partner of p under the Frobenius pairing, the path q
+with p . q = X at p's source: e_v and X_v pair up, and so do (u|v)_a
+and (v|u)_a.  The idempotents e_v are the basis indices 0..n-1, so a
+homogeneous combination between two summands contains an idempotent
+exactly when its first index is below n.
 
 Maps between shifted projectives P_u<k> -> P_v<k'> are linear
 combinations of paths from u to v of degree k - k', acting by right
@@ -32,15 +40,18 @@ _DEGREE = {"e": 0, "X": 2, "arrow": 1}
 class ZigzagAlgebra:
     """Basis labels are ("e", v), ("X", v), or ("arrow", u, v, a).
 
-    build_zigzag also fills, in the same pass, each basis path's source,
-    target and degree, and paths_out[v][t]: the basis paths from v to t,
-    in basis order, with targets that have no such path absent.  These
-    are read off the basis, so they take no part in equality.
+    products[i] is {j: k} over the nonzero products path_i . path_j =
+    path_k, each with coefficient +1.  build_zigzag also fills, in the
+    same pass, each basis path's source, target, degree and Frobenius
+    dual, and paths_out[v][t]: the basis paths from v to t, in basis
+    order, with targets that have no such path absent.  These are read
+    off the basis, so they take no part in equality.
     """
 
     quiver: UnfoldedGraph
     basis: tuple[tuple, ...]
-    mult: dict[tuple[int, int], Combo]
+    products: tuple[dict[int, int], ...]
+    duals: tuple[int, ...] = field(compare=False, repr=False)
     sources: tuple[int, ...] = field(compare=False, repr=False)
     targets: tuple[int, ...] = field(compare=False, repr=False)
     degrees: tuple[int, ...] = field(compare=False, repr=False)
@@ -78,37 +89,53 @@ def build_zigzag(u: UnfoldedGraph) -> ZigzagAlgebra:
     Basis order: every e_v, then every X_v, then the arrows sorted by
     (source, target, index).  The nonzero products of basis paths are
     exactly e_s b = b and b e_t = b for a path b from s to t, and an
-    arrow times its reverse, which is X at the arrow's source.
+    arrow times its reverse, which is X at the arrow's source: three
+    entries per vertex and three per arrow.  A table with fewer entries
+    wrote some product twice, that is, with more than one term, and
+    raises InvariantError.
     """
     n = len(u.vertices)
     arrows = sorted(
-        (s, t, a) for i, j, m in u.edges for s, t in ((i, j), (j, i)) for a in range(m)
+        [(s, t, a) for i, j, m in u.edges for s, t in ((i, j), (j, i)) for a in range(m)]
     )
     basis = tuple(
         [("e", v) for v in range(n)]
         + [("X", v) for v in range(n)]
         + [("arrow", *arrow) for arrow in arrows]
     )
-    mult: dict[tuple[int, int], Combo] = {}
-    paths: list[dict[int, list[int]]] = []
-    for v in range(n):
-        mult[v, v] = ((v, 1),)
-        mult[v, n + v] = mult[n + v, v] = ((n + v, 1),)
-        paths.append({v: [v, n + v]})
-    position = {arrow: 2 * n + k for k, arrow in enumerate(arrows)}
-    for (s, t, a), k in position.items():
-        mult[s, k] = mult[k, t] = ((k, 1),)
-        mult[k, position[t, s, a]] = ((n + s, 1),)
-        paths[s].setdefault(t, []).append(k)
-    ends = tuple(range(n)) * 2
+    # paths[v][t]: the basis paths from v to t, in basis order
+    paths: list[dict[int, list[int]]] = [{v: [v, n + v]} for v in range(n)]
+    for k, (s, t, _) in enumerate(arrows, 2 * n):
+        out = paths[s]
+        if t in out:
+            out[t].append(k)
+        else:
+            out[t] = [k]
+    # the a-th arrow from t to s is the reverse of the a-th from s to t
+    duals = list(range(n, 2 * n)) + list(range(n))
+    duals += [paths[t][s][a] for s, t, a in arrows]
+    # rows: e_v, then X_v, then each arrow (s|t)_a, times what it meets
+    products = [{v: v, n + v: n + v} for v in range(n)]
+    products += [{v: n + v} for v in range(n)]
+    products += [
+        {t: k, duals[k]: n + s} for k, (s, t, _) in enumerate(arrows, 2 * n)
+    ]
+    for k, (s, _, _) in enumerate(arrows, 2 * n):
+        products[s][k] = k
+    # three products per e_v and three per arrow: a product written
+    # twice would be one with two terms
+    if sum(map(len, products)) != 3 * (n + len(arrows)):
+        raise InvariantError("a product of two basis paths is not one path")
+    ends = list(range(n)) * 2
     return ZigzagAlgebra(
         u,
         basis,
-        mult,
-        sources=ends + tuple(s for s, _, _ in arrows),
-        targets=ends + tuple(t for _, t, _ in arrows),
+        tuple(products),
+        duals=tuple(duals),
+        sources=tuple(ends + [s for s, _, _ in arrows]),
+        targets=tuple(ends + [t for _, t, _ in arrows]),
         degrees=(0,) * n + (2,) * n + (1,) * len(arrows),
-        paths_out=tuple({t: tuple(ps) for t, ps in row.items()} for row in paths),
+        paths_out=tuple([{t: tuple(ps) for t, ps in row.items()} for row in paths]),
     )
 
 
@@ -121,15 +148,23 @@ def _vertex_index(A: ZigzagAlgebra, v) -> int:
 
 
 def multiply_basis(A: ZigzagAlgebra, i: int, j: int) -> Combo:
-    return A.mult.get((i, j), ())
+    k = A.products[i].get(j)
+    return () if k is None else ((k, 1),)
 
 
 def multiply_combo(A: ZigzagAlgebra, x: Combo, y: Combo) -> Combo:
+    products = A.products
+    if len(x) == 1 and len(y) == 1:
+        ((i, ci),), ((j, cj),) = x, y
+        k = products[i].get(j)
+        return () if k is None else ((k, ci * cj),)
     acc: dict[int, int] = {}
     for i, ci in x:
+        row = products[i]
         for j, cj in y:
-            for k, ck in A.mult.get((i, j), ()):
-                acc[k] = acc.get(k, 0) + ci * cj * ck
+            k = row.get(j)
+            if k is not None:
+                acc[k] = acc[k] + ci * cj if k in acc else ci * cj
     return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 
@@ -178,26 +213,17 @@ def frobenius_comult(A: ZigzagAlgebra, v) -> dict[int, tuple[tuple[int, int], ..
     """Components of the comultiplication into P_v (x) vP, per idempotent.
 
     Row t lists the tensor terms the map sends e_t to, as pairs of
-    basis indices with implied coefficient +1: the diagonal row gets
-    e_v (x) X_v + X_v (x) e_v, a neighbor gets one cup term per shared
-    arrow index, everything else is zero.
-
-    The indices come from the basis order: e_v is v and X_v is n + v,
-    and paths_out[t][v] lists the arrows (t|v)_a in order of a, so the
-    a-th arrows each way are reverses of each other.
+    basis indices with implied coefficient +1: each path x from t to v
+    paired with its dual.  So the diagonal row gets e_v (x) X_v +
+    X_v (x) e_v, a neighbor gets one cup term (t|v)_a (x) (v|t)_a per
+    shared arrow index, and everything else is zero.
     """
     v = _vertex_index(A, v)
-    n = len(A.quiver.vertices)
-    out = A.paths_out[v]
-    rows: dict[int, tuple[tuple[int, int], ...]] = {}
-    for t in range(n):
-        if t == v:
-            rows[t] = ((v, n + v), (n + v, v))
-        elif t in out:
-            rows[t] = tuple(zip(A.paths_out[t][v], out[t]))
-        else:
-            rows[t] = ()
-    return rows
+    duals = A.duals
+    return {
+        t: tuple((x, duals[x]) for x in out.get(v, ()))
+        for t, out in enumerate(A.paths_out)
+    }
 
 
 def path_label(A: ZigzagAlgebra, i: int) -> str:

@@ -32,15 +32,10 @@ from coxtwist.homotopy import (
 )
 from coxtwist.lattice import burau_column, burau_word
 from coxtwist.unfolding import lcm_translate, unfold
-from coxtwist.zigzag import (
-    _add_combo,
-    _vertex_index,
-    build_zigzag,
-    frobenius_comult,
-    multiply_combo,
-)
+from coxtwist.zigzag import build_zigzag, multiply_combo
 
 from conftest import CORPUS_JSON, graph_json
+from reference import dense_cone, ref_dual_twist, ref_twist
 
 ONE = Fraction(1)
 
@@ -637,105 +632,6 @@ def test_twist_round_trip_on_random_words(name):
         assert seen[True]
 
 
-# The twist and the inverse twist as two separate cone constructions,
-# kept as the reference for the shared one.
-def ref_twist(A, v, c, eliminate=True):
-    v = _vertex_index(A, v)
-    paths = A.paths_out[v]
-    if not any(u in paths for summands in c.terms.values() for u, _ in summands):
-        return gaussian_eliminate(A, c) if eliminate else c
-    e_v = A.basis.index(("e", v))
-    cone = {}
-    for i, summands in c.terms.items():
-        added = [
-            (r, p)
-            for r, (u, _) in enumerate(summands)
-            for p in paths.get(u, ())
-        ]
-        if added:
-            cone[i - 1] = added
-    terms = {}
-    for i in set(c.terms) | set(cone):
-        extra = tuple(
-            (v, c.terms[i + 1][r][1] + A.degree(p)) for r, p in cone.get(i, ())
-        )
-        terms[i] = c.terms.get(i, ()) + extra
-    diffs = {}
-    for i in terms:
-        if i + 1 not in terms:
-            continue
-        old_cols = c.terms.get(i + 1, ())
-        oldmat = c.diffs.get(i)
-        dmat = c.diffs.get(i + 1)
-        mat = []
-        for r in range(len(c.terms.get(i, ()))):
-            row = [oldmat[r].get(cc, ()) if oldmat else () for cc in range(len(old_cols))]
-            row.extend(() for _ in cone.get(i + 1, ()))
-            mat.append(row)
-        for r, p in cone.get(i, ()):
-            row = [((p, ONE),) if cc == r else () for cc in range(len(old_cols))]
-            for r2, p2 in cone.get(i + 1, ()):
-                delta = dmat[r].get(r2, ()) if dmat else ()
-                prod = multiply_combo(A, ((p, ONE),), delta)
-                co = next((co for b, co in prod if b == p2), None)
-                row.append(((e_v, -co),) if co else ())
-            mat.append(row)
-        diffs[i] = mat
-    out = make_complex(A, terms, diffs)
-    return gaussian_eliminate(A, out) if eliminate else out
-
-
-def ref_dual_twist(A, v, c, eliminate=True):
-    v = _vertex_index(A, v)
-    paths = A.paths_out[v]
-    if not any(u in paths for summands in c.terms.values() for u, _ in summands):
-        return gaussian_eliminate(A, c) if eliminate else c
-    e_v = A.basis.index(("e", v))
-    partner = {
-        y: x for pairs in frobenius_comult(A, v).values() for x, y in pairs
-    }
-    cone = {}
-    for i, summands in c.terms.items():
-        added = [
-            (r, y)
-            for r, (u, _) in enumerate(summands)
-            for y in paths.get(u, ())
-        ]
-        if added:
-            cone[i + 1] = added
-    terms = {}
-    for i in set(c.terms) | set(cone):
-        extra = tuple(
-            (v, c.terms[i - 1][r][1] - 2 + A.degree(y))
-            for r, y in cone.get(i, ())
-        )
-        terms[i] = c.terms.get(i, ()) + extra
-    diffs = {}
-    for i in terms:
-        if i + 1 not in terms:
-            continue
-        old_cols = c.terms.get(i + 1, ())
-        oldmat = c.diffs.get(i)
-        prevmat = c.diffs.get(i - 1)
-        mat = []
-        for r in range(len(c.terms.get(i, ()))):
-            row = [oldmat[r].get(cc, ()) if oldmat else () for cc in range(len(old_cols))]
-            for r2, y2 in cone.get(i + 1, ()):
-                row.append(((partner[y2], ONE),) if r2 == r else ())
-            mat.append(row)
-        for r, y in cone.get(i, ()):
-            row = [() for _ in range(len(old_cols))]
-            for r2, y2 in cone.get(i + 1, ()):
-                delta = prevmat[r].get(r2, ()) if prevmat else ()
-                prod = multiply_combo(A, ((y, ONE),), delta)
-                co = next((co for b, co in prod if b == y2), None)
-                row.append(((e_v, -co),) if co else ())
-            mat.append(row)
-        diffs[i] = mat
-    out = make_complex(A, terms, diffs)
-    return gaussian_eliminate(A, out) if eliminate else out
-
-
 @pytest.mark.parametrize("name", sorted(ROUND_TRIP_GRAPHS))
 def test_shared_cone_matches_the_separate_constructions(name):
     g = parse_graph(ROUND_TRIP_GRAPHS[name])
@@ -1005,119 +901,6 @@ def test_identity_sweep_starts_once_per_base_vertex(monkeypatch):
     assert len(starts) == 2 * g.rank < len(u.vertices)
 
 
-# Dense Gaussian elimination and the dense cone, kept as the reference
-# for the sparse ones: they work on full matrices, with () for a zero
-# entry, and meet the sparse rows of Complex only at the boundary.
-def dense_rows(c):
-    return {
-        i: [[row.get(cc, ()) for cc in range(len(c.terms[i + 1]))] for row in mat]
-        for i, mat in c.diffs.items()
-    }
-
-
-def dense_eliminate(A, c):
-    """Pivots lowest degree first, then row-major, rescanning the
-    degree from its first row after every pivot."""
-    terms = {i: list(ss) for i, ss in c.terms.items()}
-    diffs = dense_rows(c)
-
-    def first_pivot(i):
-        for r, row in enumerate(diffs[i]):
-            for cc, entry in enumerate(row):
-                if any(A.basis[b][0] == "e" for b, _ in entry):
-                    return r, cc
-        return None
-
-    for i in sorted(diffs):
-        while (found := first_pivot(i)) is not None:
-            r, c0 = found
-            mat = diffs[i]
-            ((_, a),) = mat[r][c0]
-            # exact over the rationals, whatever the pivot
-            inv = Fraction(-1, a)
-            hot = [c2 for c2 in range(len(mat[r])) if c2 != c0 and mat[r][c2]]
-            for r2 in range(len(mat)):
-                if r2 == r or not mat[r2][c0]:
-                    continue
-                left = mat[r2][c0]
-                for c2 in hot:
-                    corr = multiply_combo(A, left, mat[r][c2])
-                    mat[r2][c2] = _add_combo(mat[r2][c2], corr, inv)
-            del terms[i][r]
-            del terms[i + 1][c0]
-            del mat[r]
-            for row in mat:
-                del row[c0]
-            if i - 1 in diffs:
-                for row in diffs[i - 1]:
-                    del row[r]
-            if i + 1 in diffs:
-                del diffs[i + 1][c0]
-    return make_complex(A, terms, diffs)
-
-
-def dense_cone(A, v, c, eliminate, side):
-    """The shared cone, with a multiply_combo per pair of new summands."""
-    v = _vertex_index(A, v)
-    paths = A.paths_out[v]
-    if not any(u in paths for summands in c.terms.values() for u, _ in summands):
-        return dense_eliminate(A, c) if eliminate else c
-    e_v = A.basis.index(("e", v))
-    shift = -2 if side > 0 else 0
-    partner = (
-        {y: x for pairs in frobenius_comult(A, v).values() for x, y in pairs}
-        if side > 0
-        else {}
-    )
-    cone = {}
-    for i, summands in c.terms.items():
-        added = [
-            (r, p)
-            for r, (u, _) in enumerate(summands)
-            for p in paths.get(u, ())
-        ]
-        if added:
-            cone[i + side] = added
-    terms = {}
-    for i in set(c.terms) | set(cone):
-        extra = tuple(
-            (v, c.terms[i - side][r][1] + shift + A.degree(p))
-            for r, p in cone.get(i, ())
-        )
-        terms[i] = c.terms.get(i, ()) + extra
-    old = dense_rows(c)
-    diffs = {}
-    for i in terms:
-        if i + 1 not in terms:
-            continue
-        old_cols = c.terms.get(i + 1, ())
-        oldmat = old.get(i)
-        dmat = old.get(i - side)
-        new_cols = cone.get(i + 1, ())
-        mat = []
-        for r in range(len(c.terms.get(i, ()))):
-            row = [oldmat[r][cc] if oldmat else () for cc in range(len(old_cols))]
-            row.extend(
-                ((partner[p2], ONE),) if side > 0 and r2 == r else ()
-                for r2, p2 in new_cols
-            )
-            mat.append(row)
-        for r, p in cone.get(i, ()):
-            row = [
-                ((p, ONE),) if side < 0 and cc == r else ()
-                for cc in range(len(old_cols))
-            ]
-            for r2, p2 in new_cols:
-                delta = dmat[r][r2] if dmat else ()
-                prod = multiply_combo(A, ((p, ONE),), delta)
-                co = next((co for b, co in prod if b == p2), None)
-                row.append(((e_v, -co),) if co else ())
-            mat.append(row)
-        diffs[i] = mat
-    out = make_complex(A, terms, diffs)
-    return dense_eliminate(A, out) if eliminate else out
-
-
 @st.composite
 def twist_cases(draw):
     name = draw(st.sampled_from(sorted(SWEEP_GRAPHS)))
@@ -1302,8 +1085,9 @@ def test_skipped_first_twist_still_eliminates():
     assert got == all_vertex_plan(A, plan, c) == projective_complex(A, "s,Pi0")
 
 
-# stdout and exit code of word problems on the 5-7-9 chain and of the
-# rank2_inf ladder, pinned by SHA-256; a change to which twists run must
+# stdout and exit code of word problems on the 5-7-9 chain, of the
+# rank2_inf ladder and of act on the small corpus fibers, pinned by
+# SHA-256; a change to which twists run, or to the pivot order, must
 # leave every byte as it was
 PINNED_COMMANDS = [
     ("l579", ["act", "a b", "--on", "a,Pi0*Pi0*Pi0"], 0,
@@ -1360,12 +1144,32 @@ PINNED_COMMANDS = [
      "46c6f4af2093598bacf8ecc2b5fbfc1e1a092d228ef9b3c83609880c773b33bb"),
     ("rank2_inf", ["check-relations"], 0,
      "600d620f6fec08160fdcb2ce51e0bf83481100c1f4401a5900a39b5eb513e55e"),
+    ("i2_4", ["act", "s t^-1 s t", "--on", "s,Pi1"], 0,
+     "13c8204d5279567edf32544ad2ec28bd200d648984d268f493697e43c83bcdb9"),
+    ("i2_4", ["act", "t^-1 s^-1 t s t", "--on", "t,Pi2", "--shift", "2"], 0,
+     "80220636d6b8993bf029fa3028135b742c59f7f8fa9bb0f2852bec27af1626bb"),
+    ("i2_5", ["act", "s t s^-1 t^-1 s", "--on", "t,Pi2"], 0,
+     "4ec13d9d30d3af12e255280a3f8c89557d0dd8d28d41f5d1bd9dcc0846d97a6d"),
+    ("i2_5", ["act", "t^-1 s t s", "--on", "s,Pi2", "--shift", "1", "--deg", "-1"], 0,
+     "dcd540d810201da6bf7d355a9cf6642f2d593ef0b4837d20731b944e3349f1fc"),
+    ("chain45", ["act", "s t u^-1 t s^-1", "--on", "t,Pi1*Pi2"], 0,
+     "0f1cea76c23394c23eab292f3b5f771c082475f8839901587cd58f88e0fbcec1"),
+    ("chain45", ["act", "u^-1 t s u", "--on", "s,Pi2*Pi0"], 0,
+     "732f86cb6fda878a23700e4d62b5f2885f5fe6d5c01213f7acda6cf185b892c5"),
+    ("chain45", ["act", "t u t^-1 s", "--on", "u,Pi1*Pi0"], 0,
+     "84d6c0c281c6810e607cd39d15fde53a536f23f271bb7d6203e5213dba064196"),
+    ("g2_affine", ["act", "a b c^-1 b^-1", "--on", "b,Pi0*Pi3"], 0,
+     "955d4401209997f9c8c90d33793036ac7c1610799d0f5c250d146dd8d7074b23"),
+    ("g2_affine", ["act", "c b a b^-1 c^-1 a", "--on", "a,Pi0*Pi2"], 0,
+     "dbad996f77e10875ac801953f7b526136af87d27e15007e0ad41b2bdb12aa688"),
+    ("g2_affine", ["act", "b^-1 a c", "--on", "c,Pi0*Pi4"], 0,
+     "a236fb3d4aa74ac3fd8f0a62d0b49d86b2f3eaf9e100a162af416ac768b3548c"),
 ]
 
 
 def test_twist_commands_are_pinned(tmp_path):
     paths = {}
-    for name in ("l579", "rank2_inf"):
+    for name in {name for name, *_ in PINNED_COMMANDS}:
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(PLAN_GRAPHS[name])
     for name, (cmd, *rest), code, digest in PINNED_COMMANDS:

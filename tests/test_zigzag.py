@@ -24,6 +24,7 @@ from coxtwist.zigzag import (
 )
 
 from conftest import CORPUS_JSON, graph_json
+from reference import all_pairs_table
 from test_coxgraph import random_graphs
 
 ONE = Fraction(1)
@@ -414,7 +415,9 @@ def algebras():
 
 # References for the structures that unfold and build_zigzag write
 # directly: the adjacency by multiplying the edge object with every
-# simple, and the product table by testing every pair of basis paths.
+# simple, the product table by testing every pair of basis paths
+# (reference.all_pairs_table), and the duals from the labelled
+# comultiplication.
 
 
 def ref_unfold(g):
@@ -433,34 +436,23 @@ def ref_unfold(g):
     return UnfoldedGraph(g, ring, vertices, tuple(sorted(edges)))
 
 
-REF_DEGREE = {"e": 0, "X": 2, "arrow": 1}
+def table_pairs(A):
+    """The product table as all_pairs_table writes it."""
+    return {
+        (i, j): ((k, 1),) for i, row in enumerate(A.products) for j, k in row.items()
+    }
 
 
-def ref_product(index, bi, bj):
-    ti = bi[2] if bi[0] == "arrow" else bi[1]
-    if ti != bj[1]:
-        return ()
-    if REF_DEGREE[bi[0]] + REF_DEGREE[bj[0]] >= 3:
-        return ()
-    if bi[0] == "e":
-        return ((index[bj], ONE),)
-    if bj[0] == "e":
-        return ((index[bi], ONE),)
-    # two arrows with matching ends: cap iff they are mutual reverses
-    if bi[1] == bj[2] and bi[3] == bj[3]:
-        return ((index[("X", bi[1])], ONE),)
-    return ()
-
-
-def all_pairs_table(A):
-    index = {b: k for k, b in enumerate(A.basis)}
-    full = {}
-    for i, bi in enumerate(A.basis):
-        for j, bj in enumerate(A.basis):
-            out = ref_product(index, bi, bj)
-            if out:
-                full[i, j] = out
-    return full
+def ref_duals(A):
+    """Each basis path's partner, over the labelled comultiplication
+    terms x (x) y at every vertex."""
+    partner = {
+        x: y
+        for v in range(len(A.quiver.vertices))
+        for pairs in ref_frobenius_comult(A, v).values()
+        for x, y in pairs
+    }
+    return tuple(partner[p] for p in range(A.dim))
 
 
 def basis_scan(A):
@@ -496,7 +488,8 @@ def test_basis_tables_match_the_labels(algebras, name):
 @pytest.mark.parametrize("name", sorted(CORPUS_JSON) + ["chain579"])
 def test_local_product_table_matches_all_pairs(algebras, name):
     A = algebras[name]
-    assert A.mult == all_pairs_table(A)
+    assert table_pairs(A) == all_pairs_table(A)
+    assert A.duals == ref_duals(A)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_JSON) + ["chain579"])
@@ -513,7 +506,8 @@ def test_direct_structures_match_references_on_random_graphs(data):
     u = unfold(g)
     assert u == ref_unfold(g)
     A = build_zigzag(u)
-    assert A.mult == all_pairs_table(A)
+    assert table_pairs(A) == all_pairs_table(A)
+    assert A.duals == ref_duals(A)
     assert [{t: list(ps) for t, ps in row.items()} for row in A.paths_out] == (
         basis_scan(A)
     )
