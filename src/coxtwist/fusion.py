@@ -14,6 +14,8 @@ slowest, where labels are all of 0..n-2 (TLJ_n) or only the even ones
   matrix N[j][f][e], the Kronecker product of the factors' planes, each
   from the truncated Clebsch-Gordan rule.  A plane is built on first
   access and kept on the ring; no rank**3 table is ever built.
+  action(j) is plane j with its zeros dropped, f -> ((e, N[j][f][e]),
+  ...), kept beside it for the kernels that multiply by j term by term.
 
 The ring attached to a Coxeter graph is the product over its distinct
 finite edge labels n of TLJ_n (n even) or its even part (n odd); with no
@@ -34,6 +36,7 @@ from .coxgraph import INF, CoxeterGraph
 class FusionRing:
     factors: tuple[tuple[int, range], ...]
     _planes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     unit_index = 0  # Pi0*...*Pi0
 
@@ -56,6 +59,15 @@ class FusionRing:
         if j not in self._planes:
             self._planes[j] = _plane(self.factors, j)
         return self._planes[j]
+
+    def action(self, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Simple j acting on the simples: row f holds the nonzero
+        (e, N[j][f][e]) of simple j * simple f, by e."""
+        if j not in self._actions:
+            self._actions[j] = tuple(
+                tuple((e, x) for e, x in enumerate(row) if x) for row in self.plane(j)
+            )
+        return self._actions[j]
 
 
 def _fuses(n: int, a: int, b: int, c: int) -> int:

@@ -63,7 +63,7 @@ to every projective.
 
 Before any complex is built, the folded Burau matrix may reject the
 word.  The class of a complex in K_0 is its Burau column, so a word that
-fixes every P_(s,1) has e_s as column s of burau_word(g, ring, word),
+fixes every P_(s,1) has e_s as column s of its folded Burau matrix,
 and one that acts as [a]<b> has (-1)^a q^b e_s there.  burau_shift reads
 that common (sign, b) off the matrix, or None; a word whose matrix is not
 of that form is answered "no" at once, and builds no complex.  The
@@ -79,8 +79,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coxgraph import CoxeterGraph, InvariantError, braid_letters
-from .fusion import FusionElement, coxeter_fusion_ring
-from .lattice import burau_word
+from .fusion import coxeter_fusion_ring
+from .lattice import _burau_rows
 from .unfolding import UnfoldedGraph, fiber
 from .zigzag import (
     Combo,
@@ -541,9 +541,12 @@ def burau_shift(g: CoxeterGraph, word) -> tuple[int, int] | None:
     A word that acts on every P_(s,1) as the shift [a]<b> has
     sign = (-1)^a here, so None, or any other (sign, b), rules that
     shift out.  The converse fails (see the module docstring): this
-    test only ever rejects.  The verdict is kept for the last few
-    (graph, word) pairs, so a caller that asks before it builds the
-    zigzag algebra, and the word problem it then runs, share one matrix.
+    test only ever rejects.  The matrix is read as the integer rows of
+    the Burau kernel: the word passes when every row t is the one term
+    (t, b, unit) with coefficient sign, and no FusionElement is built.
+    The verdict is kept for the last few (graph, word) pairs, so a caller
+    that asks before it builds the zigzag algebra, and the word problem
+    it then runs, share one matrix.
     """
     return _burau_shift(g, braid_letters(word))
 
@@ -551,20 +554,16 @@ def burau_shift(g: CoxeterGraph, word) -> tuple[int, int] | None:
 @lru_cache(maxsize=16)
 def _burau_shift(g: CoxeterGraph, letters) -> tuple[int, int] | None:
     ring = coxeter_fusion_ring(g)
-    entries = burau_word(g, ring, letters).entries
-    if not entries:
+    rows = _burau_rows(g, ring, letters)
+    if not rows:
         return (1, 0)  # no base vertex: nothing to reject
-    if len(entries[0][0]) != 1:
+    if len(rows[0]) != 1:
         return None
-    ((b, corner),) = entries[0][0]
-    sign = corner.coefficients[ring.unit_index]
-    unit = FusionElement.unit(ring)
-    diagonal = ((b, unit if sign == 1 else -unit),)
-    want = tuple(
-        tuple(diagonal if r == c else () for c in range(len(entries)))
-        for r in range(len(entries))
-    )
-    return (sign, b) if entries == want else None
+    # a product of invertible generators is never c q^b I for c != +-1
+    (((_, b, _), sign),) = rows[0].items()
+    unit = ring.unit_index
+    ok = all(row == {(t, b, unit): sign} for t, row in enumerate(rows))
+    return (sign, b) if ok else None
 
 
 def _unit_starts(u: UnfoldedGraph) -> tuple[int, ...]:

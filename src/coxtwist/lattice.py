@@ -7,21 +7,33 @@ column j holding the image of the j-th basis vector, so words act by
 left multiplication and the first letter of a word always acts first.
 
 Burau matrices live over the fusion ring with Laurent q-coefficients.
-An entry is a sorted tuple of (exponent, FusionElement) pairs with zero
-coefficients dropped, which makes equality literal; the matrix carries
-its ring so specialization needs no extra argument.
+An entry of a LaurentFusionMatrix is a sorted tuple of (exponent,
+FusionElement) pairs with zero coefficients dropped, which makes
+equality literal; the matrix carries its ring so specialization needs
+no extra argument.
 
 A Burau generator sigma_s differs from the identity only in row s, and
 a simple reflection only in the ring.rank rows of its vertex.  Words,
 Coxeter words and the root walk therefore update those rows alone;
-`mat_mul` is the dense product the tests compare them against.  A simple
-reflection is only ever built as that block of rows, 1 + U, straight
-from the pair forms B_C(alpha_s, alpha_t): those hold only the unit and
-the edge objects, so the block reads only their planes of the ring, and
-`simple_reflection_matrix` is the one-letter Coxeter word.
-`coxeter_word_matrix` is a block-row product of integer reflections and
-shares no code with `burau_word` or `specialize_q`, so it stays an
-independent check of the two.
+`mat_mul` is the dense product the tests compare them against.
+
+A Burau word is multiplied on integer rows: row r maps (column, q
+exponent, simple) to a nonzero int.  A letter sigma_s rewrites row s as
+the sum of c q^a [j] row_t over the terms of row s of sigma_s, which
+come from the edge objects.  Multiplying by the unit only shifts the
+exponents; any other simple j is read from ring.action(j), its sparse
+action on the simples, which the ring builds on first read and keeps,
+like a plane.  The FusionElement entries are built once, when the word
+is done, and the word-problem gate reads the integer rows directly.
+
+A simple reflection is only ever built as its block of rows, 1 + U,
+straight from the pair forms B_C(alpha_s, alpha_t): those hold only the
+unit and the edge objects, so the block reads only their planes of the
+ring, and `simple_reflection_matrix` is the one-letter Coxeter word.
+`coxeter_word_matrix` is a block-row product of integer reflections.
+It shares no code with the Burau kernel or `specialize_q` (both sides
+read the edge objects from `fusion.edge_object`, and nothing else in
+common), so it stays an independent check of the two.
 
 Positive-root enumeration walks the W-orbit of the simple roots in
 layers (the simple roots are layer 1) and returns one vector per root
@@ -200,90 +212,85 @@ def coxeter_word_equal(g: CoxeterGraph, w1, w2) -> bool:
     )
 
 
-def _norm_entry(pairs) -> LaurentEntry:
-    by_exp: dict[int, tuple[int, ...]] = {}
-    for exp, fe in pairs:
-        cur = by_exp.get(exp)
-        by_exp[exp] = (
-            fe.coefficients
-            if cur is None
-            else tuple(x + y for x, y in zip(cur, fe.coefficients))
-        )
-    return tuple(
-        (exp, FusionElement(co))
-        for exp, co in sorted(by_exp.items())
-        if any(co)
-    )
+def _burau_letter(g: CoxeterGraph, ring: FusionRing, s: int, exp: int):
+    """Row s of sigma_s^exp as terms (t, c, a, j), each c q^a [j] in
+    column t: -q^(2 exp) on the diagonal, and -q^exp [Pi(e)] for each
+    edge e = {s, t}, read off the edge objects."""
+    terms = [(s, -1, 2 * exp, ring.unit_index)]
+    for i, j, _ in g.edges:
+        if s in (i, j):
+            form = edge_object(g, (i, j)).coefficients
+            terms.extend((i + j - s, -c, exp, k) for k, c in enumerate(form) if c)
+    return terms
 
 
-def _unit_entry(ring: FusionRing, exp: int = 0, scale: int = 1) -> LaurentEntry:
-    coeffs = [0] * ring.rank
-    coeffs[ring.unit_index] = scale
-    return ((exp, FusionElement(tuple(coeffs))),)
+def _burau_rows(g: CoxeterGraph, ring: FusionRing, letters) -> list[dict]:
+    """The Burau matrix of braid letters as integer rows: row r maps
+    (column, q exponent, simple) to its nonzero coefficient.
 
-
-def _laurent_identity(g: CoxeterGraph, ring: FusionRing) -> LaurentFusionMatrix:
-    one = _unit_entry(ring)
-    entries = tuple(
-        tuple(one if r == c else () for c in range(g.rank)) for r in range(g.rank)
-    )
-    return LaurentFusionMatrix(ring, g.rank, entries)
-
-
-def _burau_row(ring: FusionRing, forms, s: int, inverse: bool):
-    """The nonzero entries (column, entry) of row s of sigma_s, by column.
-
-    Off the diagonal, forms[s][t] is -[Pi(e)] for the edge e = {s, t}
-    and zero for a non-neighbor t.
+    sigma_s differs from the identity only in row s, so a letter
+    rewrites row s as the sum over its terms of c q^a [j] row_t.  The
+    unit only shifts the exponents; any other simple j is read from
+    ring.action(j), built once per ring.
     """
-    qexp = -1 if inverse else 1
-    return tuple(
-        (t, _unit_entry(ring, exp=2 * qexp, scale=-1) if t == s else ((qexp, form),))
-        for t, form in enumerate(forms[s])
-        if t == s or any(form.coefficients)
-    )
+    unit = ring.unit_index
+    rows = [{(r, 0, unit): 1} for r in range(g.rank)]
+    letter_terms: dict[tuple[str, int], tuple[int, list]] = {}
+    for key in letters:
+        if key not in letter_terms:
+            s = g.index(key[0])
+            letter_terms[key] = (s, _burau_letter(g, ring, s, key[1]))
+        s, terms = letter_terms[key]
+        new: dict[tuple[int, int, int], int] = {}
+        get = new.get
+        for t, c, a, j in terms:
+            if j == unit:
+                for (col, b, f), x in rows[t].items():
+                    k = (col, b + a, f)
+                    new[k] = get(k, 0) + c * x
+                continue
+            act = ring.action(j)
+            for (col, b, f), x in rows[t].items():
+                b += a
+                x *= c
+                for e, n in act[f]:
+                    k = (col, b, e)
+                    new[k] = get(k, 0) + x * n
+        rows[s] = {k: x for k, x in new.items() if x}
+    return rows
+
+
+def burau_word(g: CoxeterGraph, ring: FusionRing, word) -> LaurentFusionMatrix:
+    """Matrix of the braid word; the first letter of the word acts first.
+
+    The product is taken on the integer rows of `_burau_rows`; each
+    entry is built as sorted (exponent, FusionElement) pairs only here.
+    """
+    nr = ring.rank
+    entries = []
+    for row in _burau_rows(g, ring, braid_letters(word)):
+        cells: list[dict[int, list[int]]] = [{} for _ in range(g.rank)]
+        for (col, b, f), x in row.items():
+            coeffs = cells[col].get(b)
+            if coeffs is None:
+                coeffs = cells[col][b] = [0] * nr
+            coeffs[f] = x
+        entries.append(
+            tuple(
+                tuple((b, FusionElement(tuple(co))) for b, co in sorted(cell.items()))
+                if cell
+                else ()
+                for cell in cells
+            )
+        )
+    return LaurentFusionMatrix(ring, g.rank, tuple(entries))
 
 
 def burau_generator(
     g: CoxeterGraph, ring: FusionRing, s: str, inverse: bool = False
 ) -> LaurentFusionMatrix:
     """sigma_s: [P_s] -> -q^2 [P_s], [P_t] -> [P_t] - q [Pi(e)][P_s]."""
-    si = g.index(s)
-    rows = [list(r) for r in _laurent_identity(g, ring).entries]
-    rows[si] = [()] * g.rank
-    for t, entry in _burau_row(ring, _pair_forms(g, ring), si, inverse):
-        rows[si][t] = entry
-    return LaurentFusionMatrix(ring, g.rank, tuple(tuple(r) for r in rows))
-
-
-def burau_word(g: CoxeterGraph, ring: FusionRing, word) -> LaurentFusionMatrix:
-    """Matrix of the braid word; the first letter of the word acts first.
-
-    sigma_s differs from the identity only in row s, so each letter
-    rewrites row s of the product and leaves every other row as it is.
-    """
-    # (letter, sign) -> (row s, the nonzero entries of row s of sigma_s)
-    gens: dict[tuple[str, int], tuple[int, tuple[tuple[int, LaurentEntry], ...]]] = {}
-    forms = _pair_forms(g, ring)
-    rows = list(_laurent_identity(g, ring).entries)
-    for name, exp in braid_letters(word):
-        key = (name, exp)
-        if key not in gens:
-            s = g.index(name)
-            gens[key] = (s, _burau_row(ring, forms, s, inverse=exp < 0))
-        s, row_s = gens[key]
-        rows[s] = tuple(
-            _norm_entry(
-                [
-                    (ea + eb, multiply(ring, fa, fb))
-                    for k, e in row_s
-                    for ea, fa in e
-                    for eb, fb in rows[k][j]
-                ]
-            )
-            for j in range(g.rank)
-        )
-    return LaurentFusionMatrix(ring, g.rank, tuple(rows))
+    return burau_word(g, ring, ((s, -1 if inverse else 1),))
 
 
 def specialize_q(m: LaurentFusionMatrix, value: int = -1):

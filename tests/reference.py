@@ -1,19 +1,20 @@
 """Reference implementations that the tests compare the program against.
 
 Each one computes its answer the slow, direct way and shares no code
-with the program it checks, except where said: the twist references
-build their results through make_complex, eliminate ref_twist's and
-ref_dual_twist's cones with gaussian_eliminate and read the unit partner
-from frobenius_comult, but multiply and add path combinations here, on
-basis labels.
+with the program it checks.  The ring's products come from
+ref_ring_table, a triple loop over the simples.  The twist references
+build their results through make_complex, but multiply and add path
+combinations here on basis labels, eliminate with dense_eliminate and
+take the unit partner from the label-based ref_frobenius_comult.  The
+Burau references build each generator from its definition.
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from coxtwist.homotopy import gaussian_eliminate, make_complex
-from coxtwist.zigzag import _vertex_index, frobenius_comult
+from coxtwist.homotopy import make_complex
+from coxtwist.zigzag import _vertex_index
 
 ONE = Fraction(1)
 
@@ -91,6 +92,110 @@ def ref_reflection_matrix(g, ring, s):
     return tuple(tuple(row) for row in mat)
 
 
+def _ref_simples(ring):
+    """The simples as label tuples, first factor slowest."""
+    return list(itertools.product(*(labels for _, labels in ring.factors)))
+
+
+def _ref_unit(ring):
+    """The index of the unit, the simple labelled 0 in every factor."""
+    return _ref_simples(ring).index((0,) * len(ring.factors))
+
+
+def _ref_burau_generator(g, ring, name, exp):
+    """sigma_s from its definition: the image of P_s is -q^2 P_s, the
+    image of P_t is P_t - q [Pi(e)] P_s for each edge e = {s, t}, and
+    every other P_t is fixed.  Pi(e) is minus the pair form of the edge:
+    twice the unit for m = inf, else the simple with label m - 3 in the
+    label-m factor and 0 in every other factor.  sigma_s^-1 is the same
+    matrix at q^-1.  An entry is a dict {exponent: coefficient list};
+    column t holds the image of P_t."""
+    simples = _ref_simples(ring)
+    r = len(simples)
+    unit = _ref_unit(ring)
+
+    def element(k, c):
+        out = [0] * r
+        out[k] = c
+        return out
+
+    n = len(g.vertices)
+    si = g.vertices.index(name)
+    mat = [[{0: element(unit, 1)} if a == b else {} for b in range(n)] for a in range(n)]
+    mat[si][si] = {2 * exp: element(unit, -1)}
+    for i, j, m in g.edges:
+        if si not in (i, j):
+            continue
+        if m == float("inf"):
+            form = element(unit, -2)
+        else:
+            edge = tuple(m - 3 if k == m else 0 for k, _ in ring.factors)
+            form = element(simples.index(edge), -1)
+        mat[si][i + j - si] = {exp: form}
+    return mat
+
+
+def dense_laurent_mul(N, a, b):
+    """The full product of two Burau matrices, entry by entry, each
+    product of simples read off the table N; zeros are dropped."""
+    n = len(a)
+    r = len(N)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = {}
+            for k in range(n):
+                for ea, ca in a[i][k].items():
+                    for eb, cb in b[k][j].items():
+                        cur = acc.setdefault(ea + eb, [0] * r)
+                        for x, cx in enumerate(ca):
+                            for y, cy in enumerate(cb):
+                                if cx and cy:
+                                    for z in range(r):
+                                        cur[z] += cx * cy * N[x][y][z]
+            row.append({e: c for e, c in acc.items() if any(c)})
+        out.append(row)
+    return out
+
+
+def dense_burau_word(g, ring, word):
+    """The Burau matrix of a braid word as the dense product of its
+    generators, the first letter acting first: each entry a sorted
+    tuple of (exponent, coefficient tuple), zeros dropped.  A letter is
+    a vertex name or a (name, +1 or -1) pair."""
+    N = ref_ring_table(ring.factors)
+    n = len(g.vertices)
+    unit = _ref_unit(ring)
+    one = [1 if k == unit else 0 for k in range(len(N))]
+    acc = [[{0: one} if a == b else {} for b in range(n)] for a in range(n)]
+    for letter in word:
+        name, exp = (letter, 1) if isinstance(letter, str) else letter
+        acc = dense_laurent_mul(N, _ref_burau_generator(g, ring, name, exp), acc)
+    return tuple(
+        tuple(tuple((e, tuple(c)) for e, c in sorted(cell.items())) for cell in row)
+        for row in acc
+    )
+
+
+def ref_burau_shift(g, ring, word):
+    """(sign, b) when the Burau matrix of the word is sign q^b times the
+    identity, sign being +1 or -1; None otherwise."""
+    mat = dense_burau_word(g, ring, word)
+    if not mat:
+        return (1, 0)
+    if len(mat[0][0]) != 1:
+        return None
+    ((b, coeffs),) = mat[0][0]
+    unit = _ref_unit(ring)
+    sign = coeffs[unit]
+    diagonal = ((b, tuple(sign if k == unit else 0 for k in range(len(coeffs)))),)
+    want = tuple(
+        tuple(diagonal if r == c else () for c in range(len(mat))) for r in range(len(mat))
+    )
+    return (sign, b) if sign in (1, -1) and mat == want else None
+
+
 REF_DEGREE = {"e": 0, "X": 2, "arrow": 1}
 
 
@@ -146,13 +251,31 @@ def ref_add(x, y, a=1):
     return tuple(sorted((b, co) for b, co in acc.items() if co))
 
 
+def ref_frobenius_comult(A, v):
+    """The comultiplication rows of vertex v with every index looked up
+    by its label: e_v (x) X_v and X_v (x) e_v at v, and for each of the
+    bonds between t and v the pair of mutually reverse arrows."""
+    n = len(A.quiver.vertices)
+    rows = {}
+    for t in range(n):
+        if t == v:
+            e, x = A.basis.index(("e", v)), A.basis.index(("X", v))
+            rows[t] = ((e, x), (x, e))
+        else:
+            rows[t] = tuple(
+                (A.basis.index(("arrow", t, v, a)), A.basis.index(("arrow", v, t, a)))
+                for a in range(A.quiver.bonds.get((t, v), 0))
+            )
+    return rows
+
+
 # The twist and the inverse twist as two separate cone constructions,
 # kept as the reference for the shared one.
 def ref_twist(A, v, c, eliminate=True):
     v = _vertex_index(A, v)
     paths = A.paths_out[v]
     if not any(u in paths for summands in c.terms.values() for u, _ in summands):
-        return gaussian_eliminate(A, c) if eliminate else c
+        return dense_eliminate(A, c) if eliminate else c
     e_v = A.basis.index(("e", v))
     cone = {}
     for i, summands in c.terms.items():
@@ -191,17 +314,17 @@ def ref_twist(A, v, c, eliminate=True):
             mat.append(row)
         diffs[i] = mat
     out = make_complex(A, terms, diffs)
-    return gaussian_eliminate(A, out) if eliminate else out
+    return dense_eliminate(A, out) if eliminate else out
 
 
 def ref_dual_twist(A, v, c, eliminate=True):
     v = _vertex_index(A, v)
     paths = A.paths_out[v]
     if not any(u in paths for summands in c.terms.values() for u, _ in summands):
-        return gaussian_eliminate(A, c) if eliminate else c
+        return dense_eliminate(A, c) if eliminate else c
     e_v = A.basis.index(("e", v))
     partner = {
-        y: x for pairs in frobenius_comult(A, v).values() for x, y in pairs
+        y: x for pairs in ref_frobenius_comult(A, v).values() for x, y in pairs
     }
     cone = {}
     for i, summands in c.terms.items():
@@ -242,7 +365,7 @@ def ref_dual_twist(A, v, c, eliminate=True):
             mat.append(row)
         diffs[i] = mat
     out = make_complex(A, terms, diffs)
-    return gaussian_eliminate(A, out) if eliminate else out
+    return dense_eliminate(A, out) if eliminate else out
 
 
 # Dense Gaussian elimination and the dense cone, kept as the reference
@@ -305,7 +428,7 @@ def dense_cone(A, v, c, eliminate, side):
     e_v = A.basis.index(("e", v))
     shift = -2 if side > 0 else 0
     partner = (
-        {y: x for pairs in frobenius_comult(A, v).values() for x, y in pairs}
+        {y: x for pairs in ref_frobenius_comult(A, v).values() for x, y in pairs}
         if side > 0
         else {}
     )

@@ -314,9 +314,10 @@ def l57911_reads():
 
 def test_cold_is_identity_builds_only_the_planes_it_reads(gpath, monkeypatch):
     # of the 120 planes of the 5-7-9-11 chain's ring, a word problem
-    # reads the unit's (in the Burau matrix) and the edge objects'
+    # reads only the edge objects': the Burau matrix multiplies by the
+    # unit (simple 0) as a shift of exponents, without reading its plane
     argv = ["is-identity", gpath("l57911", GOLDEN_GRAPHS["l57911"]), "a c a^-1 c^-1"]
-    assert cold_planes(monkeypatch, argv) == (0, sorted(l57911_reads()))
+    assert cold_planes(monkeypatch, argv) == (0, sorted(l57911_reads() - {0}))
 
 
 L57911_CHARGE = {
@@ -387,6 +388,39 @@ def test_burau_q_eval_zero_fails(gpath):
 def test_burau_bad_word_token(gpath):
     assert run(["burau", gpath("a2"), "s^2"]).exit_code == 1
     assert run(["burau", gpath("a2"), "z"]).exit_code == 1
+
+
+def unfolded_chain45_json():
+    u = unfold(parse_graph(CORPUS_JSON["chain45"])).as_coxeter_graph()
+    return graph_json(u.vertices, [(u.vertices[i], u.vertices[j], m) for i, j, m in u.edges])
+
+
+# SHA-256 of the stdout of `burau`, over the ring and at q = -1, on words
+# with inverse letters whose matrices multiply by non-unit simples
+BURAU_WORDS = {
+    "l579": "a b^-1 c d^-1 b a c^-1 d",
+    "unfolded_chain45": "s,Pi0*Pi0 t,Pi1*Pi0^-1 u,Pi1*Pi2 t,Pi1*Pi2 "
+    "s,Pi0*Pi2^-1 t,Pi1*Pi0 u,Pi1*Pi0^-1 t,Pi1*Pi2",
+    "l57911": "a b^-1 c d e^-1 c",
+}
+BURAU_SHA256 = {
+    ("l579", False): "f7f6eadc444e25abfa85ec21fd1a2e9041e02937fbf6fd539517abc76b47d611",
+    ("l579", True): "b33bdf231290db5d43e397eb910a7909adb523e687160abbdf999f77540b42f9",
+    ("unfolded_chain45", False): "b5baa8e558af474d50425d16fd38f8652ec6d7ef41682c32748773b250e8e247",
+    ("unfolded_chain45", True): "79930de599fdceb3441fff704ee7d07d65eaf2c87f342b61e87c99c908742254",
+    ("l57911", False): "89ff7bd1b113c0996d948938233f78f41a803918227bbc4b5f2c5258212901e9",
+    ("l57911", True): "af919e880f7598bd2ae5abd7b5afe33306637c8241c6ed51edad8a0d82535f28",
+}
+
+
+@pytest.mark.parametrize("graph, q_eval", sorted(BURAU_SHA256))
+def test_burau_stdout_digest(gpath, graph, q_eval):
+    text = unfolded_chain45_json() if graph == "unfolded_chain45" else GOLDEN_GRAPHS[graph]
+    argv = ["burau", gpath(graph, text), BURAU_WORDS[graph]]
+    res = run(argv + (["--q-eval", "-1"] if q_eval else []))
+    assert res.exit_code == 0
+    digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+    assert digest == BURAU_SHA256[graph, q_eval]
 
 
 # ------------------------------------------------------------------- roots

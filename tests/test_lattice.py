@@ -27,6 +27,7 @@ from coxtwist.fusion import (
     tlj_even_ring,
     tlj_ring,
 )
+from coxtwist.homotopy import burau_shift
 from coxtwist.lattice import (
     LatticeVector,
     bilinear_form_C,
@@ -44,7 +45,7 @@ from coxtwist.lattice import (
 from coxtwist.unfolding import unfold
 
 from conftest import CORPUS_JSON, graph_json
-from reference import ref_reflection_matrix
+from reference import dense_burau_word, ref_burau_shift, ref_reflection_matrix
 from test_coxgraph import random_graphs
 from test_fusion import EDGE_LABELS, path_graph_ring
 
@@ -415,38 +416,16 @@ def sparse_graph(name):
     return g, coxeter_fusion_ring(g)
 
 
-def dense_laurent_mul(ring, a, b):
-    """Full product of two Burau matrices, entry by entry."""
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = {}
-            for k in range(n):
-                for ea, fa in a[i][k]:
-                    for eb, fb in b[k][j]:
-                        prod = multiply(ring, fa, fb).coefficients
-                        cur = acc.get(ea + eb, (0,) * ring.rank)
-                        acc[ea + eb] = tuple(x + y for x, y in zip(cur, prod))
-            row.append(
-                tuple(
-                    (e, FusionElement(c)) for e, c in sorted(acc.items()) if any(c)
-                )
-            )
-        out.append(tuple(row))
-    return tuple(out)
+def fusion_entries(dense):
+    """Reference Burau entries in the program's form: the coefficient
+    tuples as FusionElements."""
+    return tuple(
+        tuple(tuple((e, FusionElement(c)) for e, c in cell) for cell in row)
+        for row in dense
+    )
 
 
-def dense_burau_word(g, ring, word):
-    acc = burau_word(g, ring, ()).entries
-    for name, exp in word:
-        gen = burau_generator(g, ring, name, inverse=exp < 0)
-        acc = dense_laurent_mul(ring, gen.entries, acc)
-    return acc
-
-
-@pytest.mark.parametrize("name", SPARSE_GRAPHS)
+@pytest.mark.parametrize("name", SPARSE_GRAPHS + ["l579"])
 def test_burau_word_matches_dense_product(name):
     g, ring = sparse_graph(name)
     rng = random.Random(name)
@@ -460,7 +439,35 @@ def test_burau_word_matches_dense_product(name):
     for w in words:
         m = burau_word(g, ring, w)
         assert (m.ring, m.size) == (ring, g.rank)
-        assert m.entries == dense_burau_word(g, ring, w)
+        assert m.entries == fusion_entries(dense_burau_word(g, ring, w))
+
+
+@st.composite
+def burau_cases(draw):
+    """A random graph with a ring of rank <= 6 and a word of at most 8
+    letters with inverses; half of the words are u u^-1, which the
+    matrix passes as the identity."""
+    vertices, edges = draw(random_graphs())
+    assume(ring_rank(m for _, _, m in edges) <= 6)
+    g = parse_graph(graph_json(vertices, edges))
+    letter = st.tuples(st.sampled_from(g.vertices), st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        half = draw(st.lists(letter, max_size=4))
+        word = half + [(v, -e) for v, e in reversed(half)]
+    else:
+        word = draw(st.lists(letter, max_size=8))
+    return g, tuple(word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=burau_cases())
+def test_burau_word_and_shift_match_the_reference_on_random_graphs(case):
+    g, word = case
+    ring = coxeter_fusion_ring(g)
+    assert burau_word(g, ring, word).entries == fusion_entries(
+        dense_burau_word(g, ring, word)
+    )
+    assert burau_shift(g, word) == ref_burau_shift(g, ring, word)
 
 
 def dense_mul(a, b):

@@ -24,7 +24,7 @@ from coxtwist.zigzag import (
 )
 
 from conftest import CORPUS_JSON, graph_json
-from reference import all_pairs_table
+from reference import all_pairs_table, ref_frobenius_comult
 from test_coxgraph import random_graphs
 
 ONE = Fraction(1)
@@ -330,22 +330,6 @@ def test_frobenius_comult_double_bond_has_two_terms():
         (bidx(A, ("arrow", 0, 1, 0)), bidx(A, ("arrow", 1, 0, 0))),
         (bidx(A, ("arrow", 0, 1, 1)), bidx(A, ("arrow", 1, 0, 1))),
     )
-
-
-def ref_frobenius_comult(A, v):
-    """The comultiplication rows with every index looked up by its label."""
-    n = len(A.quiver.vertices)
-    rows = {}
-    for t in range(n):
-        if t == v:
-            e, x = bidx(A, ("e", v)), bidx(A, ("X", v))
-            rows[t] = ((e, x), (x, e))
-        else:
-            rows[t] = tuple(
-                (bidx(A, ("arrow", t, v, a)), bidx(A, ("arrow", v, t, a)))
-                for a in range(A.quiver.bonds.get((t, v), 0))
-            )
-    return rows
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_JSON) + ["chain579"])
